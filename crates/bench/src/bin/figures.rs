@@ -25,10 +25,11 @@
 //!   trace-event JSON (load it at <https://ui.perfetto.dev>) and prints a
 //!   per-stage breakdown.
 //!
-//! Every run (except `claims` and `trace`) also writes
-//! `BENCH_figures.json`: wall clock and cache statistics per figure, the
-//! speedup over a serial run of the executed jobs, and per-figure metric
-//! totals.
+//! `figures bench` is the only command that writes `BENCH_figures.json`:
+//! wall clock and cache statistics per figure, the speedup over a serial
+//! run of the executed jobs, per-figure metric totals and the engine
+//! microbenches. Figure runs print their results and leave the file as it
+//! is.
 
 use clic_bench::json::Json;
 use clic_bench::render::{series_ascii, series_csv};
@@ -163,7 +164,6 @@ fn main() {
         cache_dir: cache.then(|| cache_dir.unwrap_or_else(RunnerConfig::default_cache_dir)),
     };
 
-    let mut timings: Vec<(String, RunReport, MetricTotals)> = Vec::new();
     for item in &what {
         if item == "claims" {
             render_claims(json);
@@ -174,10 +174,10 @@ fn main() {
             std::process::exit(2);
         };
         let specs = kind.jobs(&sizes);
-        let (results, report) = run_jobs(&specs, &config);
-        let totals = MetricTotals::from_results(&results);
+        let (results, _) = run_jobs(&specs, &config);
         render(json, kind, kind.assemble(&results, &sizes));
         if metrics && !json {
+            let totals = MetricTotals::from_results(&results);
             println!(
                 "[{}] metrics: drops={} retransmits={} peak_switch_queue_depth={}",
                 kind.name(),
@@ -186,15 +186,6 @@ fn main() {
                 totals.peak_switch_queue_depth
             );
             println!();
-        }
-        timings.push((kind.name().to_string(), report, totals));
-    }
-
-    if !timings.is_empty() {
-        let path = "BENCH_figures.json";
-        match std::fs::write(path, bench_report(quick, &config, &timings, None).pretty()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
 }
@@ -778,24 +769,20 @@ fn run_bench(args: &[String]) {
     }
 
     let path = "BENCH_figures.json";
-    match std::fs::write(
-        path,
-        bench_report(quick, &config, &timings, Some(bench)).pretty(),
-    ) {
+    match std::fs::write(path, bench_report(quick, &config, &timings, bench).pretty()) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 
 /// The `BENCH_figures.json` document: per-figure and total wall clock,
-/// cache statistics, executed-work speedup over serial and metric totals.
-/// `figures bench` additionally passes its microbench section, recorded
-/// under a `"bench"` key.
+/// cache statistics, executed-work speedup over serial and metric totals,
+/// plus the microbench section under a `"bench"` key.
 fn bench_report(
     quick: bool,
     config: &RunnerConfig,
     timings: &[(String, RunReport, MetricTotals)],
-    bench: Option<Json>,
+    bench: Json,
 ) -> Json {
     let figure_entry = |name: &str, r: &RunReport, t: &MetricTotals| {
         Json::obj([
@@ -815,7 +802,7 @@ fn bench_report(
         total.merge(r);
         total_metrics.merge(t);
     }
-    let mut fields = vec![
+    Json::obj([
         (
             "schema",
             Json::from(clic_cluster::jobs::MEASUREMENT_SCHEMA_VERSION as usize),
@@ -840,11 +827,8 @@ fn bench_report(
             ),
         ),
         ("total", figure_entry("total", &total, &total_metrics)),
-    ];
-    if let Some(bench) = bench {
-        fields.push(("bench", bench));
-    }
-    Json::obj(fields)
+        ("bench", bench),
+    ])
 }
 
 fn render(json: bool, kind: FigureKind, output: FigureOutput) {

@@ -3,8 +3,9 @@
 //! * `figures` binary — regenerates every table and figure of the paper's
 //!   evaluation as CSV/text (see `figures --help`); EXPERIMENTS.md records
 //!   paper-vs-measured for each. Experiment jobs run on a worker pool
-//!   (`--jobs N`) backed by a content-addressed result cache, and every
-//!   run writes a machine-readable `BENCH_figures.json` timing report.
+//!   (`--jobs N`) backed by a content-addressed result cache. Figure runs
+//!   leave `BENCH_figures.json` untouched; `figures bench` is its only
+//!   writer.
 //! * [`runner`] — the worker pool + cache: executes
 //!   [`clic_cluster::jobs::JobSpec`] sets with results bit-identical to a
 //!   serial run.
@@ -14,8 +15,9 @@
 //!   the calendar-queue engine against [`reference`] (an in-process
 //!   re-implementation of the pre-overhaul `BinaryHeap` + boxed-closure
 //!   scheduler), plus an uncached full-grid replay reporting
-//!   whole-simulator events/second; results land in the `"bench"`
-//!   section of `BENCH_figures.json`.
+//!   whole-simulator events/second; it writes the whole
+//!   `BENCH_figures.json` timing report, microbenches in its `"bench"`
+//!   section.
 //! * `benches/figures.rs` — Criterion benchmarks wrapping each experiment
 //!   so regressions in simulator performance are visible.
 //! * `benches/engine.rs` — microbenchmarks of the DES engine itself

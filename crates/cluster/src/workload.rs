@@ -85,8 +85,40 @@ impl StreamResult {
     }
 }
 
+/// Period of the workload byte pattern: byte `i` of every message is
+/// `i % 251`, so a misplaced or duplicated fragment shows in the data.
+const PATTERN_PERIOD: usize = 251;
+
+/// One period of the pattern, copied into messages rather than
+/// recomputed byte by byte.
+const PATTERN: [u8; PATTERN_PERIOD] = {
+    let mut p = [0u8; PATTERN_PERIOD];
+    let mut i = 0;
+    while i < PATTERN_PERIOD {
+        p[i] = i as u8;
+        i += 1;
+    }
+    p
+};
+
+/// Append pattern bytes `from..to` to `v`, one period slice at a time.
+fn extend_pattern(v: &mut Vec<u8>, from: usize, to: usize) {
+    let mut i = from;
+    while i < to {
+        let phase = i % PATTERN_PERIOD;
+        let take = (PATTERN_PERIOD - phase).min(to - i);
+        v.extend_from_slice(&PATTERN[phase..phase + take]);
+        i += take;
+    }
+}
+
+/// A fresh `n`-byte message of the workload pattern. Each message gets
+/// its own buffer: sharing one pattern buffer across messages would keep
+/// the largest size alive for the whole run and raise the peak heap.
 fn payload(n: usize) -> Bytes {
-    Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<_>>())
+    let mut v = Vec::with_capacity(n);
+    extend_pattern(&mut v, 0, n);
+    Bytes::from(v)
 }
 
 /// How many messages to stream for a given size: enough to reach steady
@@ -1124,7 +1156,7 @@ const CHAOS_WINDOW: usize = 4;
 fn chaos_payload(tag: usize, size: usize) -> Bytes {
     let mut v = Vec::with_capacity(size);
     v.extend_from_slice(&(tag as u64).to_be_bytes());
-    v.extend((8..size).map(|i| (i % 251) as u8));
+    extend_pattern(&mut v, 8, size);
     Bytes::from(v)
 }
 
@@ -1471,6 +1503,32 @@ mod tests {
     use super::*;
     use crate::builder::{ClusterConfig, Topology};
     use clic_ethernet::LossModel;
+
+    #[test]
+    fn payload_is_the_byte_pattern() {
+        for n in [0, 1, 250, 251, 252, 1500, 9000, 4 << 20] {
+            let p = payload(n);
+            assert_eq!(p.len(), n);
+            assert!(
+                p.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8),
+                "payload({n}) departs from i % 251"
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_payload_is_tag_then_pattern() {
+        for size in [0, 8, 9, 300, 1500] {
+            let p = chaos_payload(7, size);
+            assert_eq!(p.len(), size.max(8));
+            assert_eq!(&p[..8], &7u64.to_be_bytes());
+            assert!(p
+                .iter()
+                .enumerate()
+                .skip(8)
+                .all(|(i, &b)| b == (i % 251) as u8));
+        }
+    }
 
     fn chaos_pair(loss: f64) -> ClusterConfig {
         let mut cfg = ClusterConfig::paper_pair();

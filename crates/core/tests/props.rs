@@ -1,11 +1,90 @@
-//! Property-based tests: CLIC header codec and sliding-window invariants.
+//! Property-based tests: CLIC header codec and sliding-window invariants,
+//! plus totality of the layer-2 wire decoders (CLIC header, NIC
+//! fragmentation shim, NIC collective messages).
 
 use bytes::Bytes;
-use clic_core::header::{decode_msg_prefix, encode_msg_prefix};
+use clic_core::header::{decode_msg_prefix, encode_msg_prefix, CE_BIT, CLIC_HEADER};
 use clic_core::reliable::{RecvOutcome, RecvWindow, SendWindow};
 use clic_core::{ClicHeader, PacketType};
+use clic_hw::frag::{FragHeader, Reassembler, FRAG_HEADER};
+use clic_hw::CollMsg;
 use clic_sim::SimTime;
 use proptest::prelude::*;
+
+/// Whether `view` is `buf[start..end]` itself: the same bytes at the same
+/// address, so the decoder handed out a view rather than a copy.
+fn is_view_of(view: &Bytes, buf: &Bytes, start: usize, end: usize) -> bool {
+    let range = &buf[start..end];
+    view[..] == *range && (view.is_empty() || view.as_ptr() == range.as_ptr())
+}
+
+/// Arbitrary bytes, half of the time with the first byte drawn from the
+/// decoder's accepted tags so the parse gets past its first check.
+fn arb_wire(tags: std::ops::Range<u8>) -> impl Strategy<Value = Bytes> {
+    (
+        proptest::collection::vec(any::<u8>(), 0..160),
+        tags,
+        any::<bool>(),
+    )
+        .prop_map(|(mut raw, tag, patch)| {
+            if patch && !raw.is_empty() {
+                raw[0] = tag;
+            }
+            Bytes::from(raw)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The CLIC header decoder never panics, and a data-bearing parse
+    /// returns exactly the `len` bytes after the header, as a view.
+    #[test]
+    fn clic_decode_is_total_and_a_view(
+        wire in arb_wire(0..8),
+        ce in any::<bool>(),
+        len in 0u32..160,
+        patch_len in any::<bool>(),
+    ) {
+        let mut raw = wire.to_vec();
+        if ce && !raw.is_empty() {
+            raw[0] |= CE_BIT;
+        }
+        if patch_len && raw.len() >= CLIC_HEADER {
+            raw[8..12].copy_from_slice(&len.to_be_bytes());
+        }
+        let wire = Bytes::from(raw);
+        if let Some((h, body)) = ClicHeader::decode(&wire) {
+            if h.ptype == PacketType::Ack {
+                prop_assert!(body.is_empty());
+            } else {
+                let end = CLIC_HEADER + h.len as usize;
+                prop_assert!(is_view_of(&body, &wire, CLIC_HEADER, end));
+            }
+        }
+    }
+
+    /// The fragment-shim decoder never panics and returns everything past
+    /// the shim as a view; the reassembler never panics on the same input.
+    #[test]
+    fn frag_decode_is_total_and_a_view(wire in arb_wire(0..4), source in 0u64..4) {
+        if let Some((h, body)) = FragHeader::decode(&wire) {
+            prop_assert!(h.index < h.count);
+            prop_assert!(is_view_of(&body, &wire, FRAG_HEADER, wire.len()));
+        }
+        let mut r = Reassembler::new();
+        let _ = r.offer(source, &wire);
+    }
+
+    /// The collective-message decoder never panics, and a broadcast's
+    /// data is the view past the op byte and sequence number.
+    #[test]
+    fn coll_decode_is_total_and_a_view(wire in arb_wire(0..7)) {
+        if let Some(CollMsg::Bcast { data, .. }) = CollMsg::decode(&wire) {
+            prop_assert!(is_view_of(&data, &wire, 5, wire.len()));
+        }
+    }
+}
 
 fn arb_ptype() -> impl Strategy<Value = PacketType> {
     prop_oneof![
@@ -45,7 +124,7 @@ proptest! {
             wire.extend_from_slice(&payload);
         }
         wire.resize(wire.len().max(46), 0); // Ethernet padding
-        let (parsed, body) = ClicHeader::decode(&wire).unwrap();
+        let (parsed, body) = ClicHeader::decode(&Bytes::from(wire)).unwrap();
         prop_assert_eq!(parsed, h);
         if is_ack {
             prop_assert!(body.is_empty(), "ACK decode must not surface padding");

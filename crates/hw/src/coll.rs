@@ -168,8 +168,9 @@ impl CollMsg {
     }
 
     /// Decode a frame payload (ignoring any minimum-frame padding past the
-    /// message body). Returns `None` for malformed payloads.
-    pub fn decode(payload: &[u8]) -> Option<CollMsg> {
+    /// message body). Returns `None` for malformed payloads. A broadcast's
+    /// data is a view into `payload`; no bytes are copied.
+    pub fn decode(payload: &Bytes) -> Option<CollMsg> {
         let (&op, rest) = payload.split_first()?;
         let seq = u32::from_be_bytes(rest.get(..4)?.try_into().ok()?);
         let val =
@@ -187,7 +188,8 @@ impl CollMsg {
             }),
             5 => Some(CollMsg::Bcast {
                 seq,
-                data: Bytes::copy_from_slice(rest.get(4..)?),
+                // `seq` parsed, so the op byte and 4 seq bytes are there.
+                data: payload.slice(5..),
             }),
             _ => None,
         }

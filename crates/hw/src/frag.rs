@@ -51,8 +51,9 @@ impl FragHeader {
         out
     }
 
-    /// Parse the shim from the front of a fragment payload.
-    pub fn decode(buf: &[u8]) -> Option<(FragHeader, Bytes)> {
+    /// Parse the shim from the front of a fragment payload. The body is a
+    /// view into `buf`; no bytes are copied.
+    pub fn decode(buf: &Bytes) -> Option<(FragHeader, Bytes)> {
         if buf.len() < FRAG_HEADER {
             return None;
         }
@@ -66,7 +67,7 @@ impl FragHeader {
         if header.count == 0 || header.index >= header.count {
             return None;
         }
-        Some((header, Bytes::copy_from_slice(&buf[FRAG_HEADER..])))
+        Some((header, buf.slice(FRAG_HEADER..)))
     }
 }
 
@@ -109,8 +110,10 @@ impl Reassembler {
     }
 
     /// Offer one fragment payload (shim included) from `source`. Returns the
-    /// reassembled packet when this fragment completes it.
-    pub fn offer(&mut self, source: u64, buf: &[u8]) -> Option<Bytes> {
+    /// reassembled packet when this fragment completes it. Fragment bodies
+    /// are held as views until the last one arrives, then copied once
+    /// into the reassembled packet.
+    pub fn offer(&mut self, source: u64, buf: &Bytes) -> Option<Bytes> {
         let (header, body) = FragHeader::decode(buf)?;
         let key = (source, header.packet_id);
         let slots = self
@@ -160,28 +163,30 @@ mod tests {
         };
         let mut buf = h.encode().to_vec();
         buf.extend_from_slice(b"body");
-        let (parsed, body) = FragHeader::decode(&buf).unwrap();
+        let (parsed, body) = FragHeader::decode(&Bytes::from(buf)).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(&body[..], b"body");
     }
 
     #[test]
     fn decode_rejects_bad_shims() {
-        assert!(FragHeader::decode(&[0; 4]).is_none()); // short
+        assert!(FragHeader::decode(&Bytes::from(vec![0; 4])).is_none()); // short
         let h = FragHeader {
             packet_id: 1,
             index: 5,
             count: 5,
             ethertype: 0,
         };
-        assert!(FragHeader::decode(&h.encode()).is_none()); // index >= count
+        // Index >= count.
+        assert!(FragHeader::decode(&Bytes::copy_from_slice(&h.encode())).is_none());
         let z = FragHeader {
             packet_id: 1,
             index: 0,
             count: 0,
             ethertype: 0,
         };
-        assert!(FragHeader::decode(&z.encode()).is_none()); // zero count
+        // Zero count.
+        assert!(FragHeader::decode(&Bytes::copy_from_slice(&z.encode())).is_none());
     }
 
     #[test]

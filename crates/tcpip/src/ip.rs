@@ -52,13 +52,26 @@ impl IpProto {
 
 /// RFC 1071 Internet checksum.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    internet_checksum_parts(&[data])
+}
+
+/// RFC 1071 Internet checksum of the concatenation of `parts`, computed
+/// in place. Every part but the last must have even length, so each
+/// part's 16-bit words line up with the concatenation's.
+pub fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
+    let mut sum: u64 = 0;
+    for (i, part) in parts.iter().enumerate() {
+        debug_assert!(
+            i + 1 == parts.len() || part.len() % 2 == 0,
+            "odd-length checksum part before the last"
+        );
+        let mut chunks = part.chunks_exact(2);
+        for c in &mut chunks {
+            sum += u64::from(u16::from_be_bytes([c[0], c[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            sum += u64::from(u16::from_be_bytes([*last, 0]));
+        }
     }
     while sum >> 16 != 0 {
         sum = (sum & 0xffff) + (sum >> 16);
@@ -109,8 +122,9 @@ impl Ipv4Header {
         h
     }
 
-    /// Parse and verify; returns the header and its payload slice.
-    pub fn decode(buf: &[u8]) -> Option<(Ipv4Header, Bytes)> {
+    /// Parse and verify; returns the header and a view of its payload
+    /// (Ethernet padding past the total length excluded).
+    pub fn decode(buf: &Bytes) -> Option<(Ipv4Header, Bytes)> {
         if buf.len() < IPV4_HEADER || buf[0] != 0x45 {
             return None;
         }
@@ -132,7 +146,7 @@ impl Ipv4Header {
             ttl: buf[8],
             payload_len: (total - IPV4_HEADER) as u16,
         };
-        Some((header, Bytes::copy_from_slice(&buf[IPV4_HEADER..total])))
+        Some((header, buf.slice(IPV4_HEADER..total)))
     }
 }
 
@@ -277,7 +291,7 @@ mod tests {
         };
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let (parsed, body) = Ipv4Header::decode(&wire).unwrap();
+        let (parsed, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(&body[..], &[1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -296,7 +310,7 @@ mod tests {
         };
         let mut wire = h.encode().to_vec();
         wire[15] ^= 0xff; // flip a source-address byte
-        assert!(Ipv4Header::decode(&wire).is_none());
+        assert!(Ipv4Header::decode(&Bytes::from(wire)).is_none());
     }
 
     #[test]
@@ -314,7 +328,7 @@ mod tests {
         let mut wire = h.encode().to_vec();
         wire.extend_from_slice(&[9, 9, 9, 9]);
         wire.resize(46, 0);
-        let (_, body) = Ipv4Header::decode(&wire).unwrap();
+        let (_, body) = Ipv4Header::decode(&Bytes::from(wire)).unwrap();
         assert_eq!(&body[..], &[9, 9, 9, 9]);
     }
 

@@ -14,7 +14,7 @@
 //! paper's curves.
 
 use crate::costs::TcpIpCosts;
-use crate::ip::{internet_checksum, IpAddr, IpProto, Ipv4Header};
+use crate::ip::{internet_checksum_parts, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_os::{Kernel, Pid};
@@ -51,18 +51,38 @@ fn seq_gt(a: u32, b: u32) -> bool {
     a.wrapping_sub(b) as i32 > 0
 }
 
+/// The fixed fields of a TCP header (options are never sent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Segment {
-    src_port: u16,
-    dst_port: u16,
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    window: u16,
+pub struct Segment {
+    /// Sending port.
+    pub src_port: u16,
+    /// Receiving port.
+    pub dst_port: u16,
+    /// Sequence number of the first payload byte.
+    pub seq: u32,
+    /// Cumulative acknowledgement (next byte expected).
+    pub ack: u32,
+    /// Flag bits (FIN, SYN, ACK).
+    pub flags: u8,
+    /// Advertised receive window, bytes.
+    pub window: u16,
+}
+
+/// The 12-byte pseudo header the TCP checksum covers ahead of the segment.
+fn pseudo_header(src: IpAddr, dst: IpAddr, tcp_len: usize) -> [u8; 12] {
+    let mut p = [0u8; 12];
+    p[0..4].copy_from_slice(&src.0.to_be_bytes());
+    p[4..8].copy_from_slice(&dst.0.to_be_bytes());
+    p[9] = 6; // after a zero byte: protocol number, TCP
+    p[10..12].copy_from_slice(&(tcp_len as u16).to_be_bytes());
+    p
 }
 
 impl Segment {
-    fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Bytes {
+    /// Serialize header and `payload` with the pseudo-header checksum
+    /// filled in. The checksum runs over the parts in place; the only
+    /// copy is the one into the outgoing segment.
+    pub fn encode(&self, src: IpAddr, dst: IpAddr, payload: &[u8]) -> Bytes {
         let mut h = [0u8; TCP_HEADER];
         h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -71,15 +91,8 @@ impl Segment {
         h[12] = 5 << 4; // data offset
         h[13] = self.flags;
         h[14..16].copy_from_slice(&self.window.to_be_bytes());
-        // Checksum over pseudo header + segment.
-        let mut pseudo = Vec::with_capacity(12 + TCP_HEADER + payload.len());
-        pseudo.extend_from_slice(&src.0.to_be_bytes());
-        pseudo.extend_from_slice(&dst.0.to_be_bytes());
-        pseudo.extend_from_slice(&[0, 6]);
-        pseudo.extend_from_slice(&((TCP_HEADER + payload.len()) as u16).to_be_bytes());
-        pseudo.extend_from_slice(&h);
-        pseudo.extend_from_slice(payload);
-        let csum = internet_checksum(&pseudo);
+        let pseudo = pseudo_header(src, dst, TCP_HEADER + payload.len());
+        let csum = internet_checksum_parts(&[&pseudo, &h, payload]);
         h[16..18].copy_from_slice(&csum.to_be_bytes());
         let mut out = BytesMut::with_capacity(TCP_HEADER + payload.len());
         out.put_slice(&h);
@@ -87,18 +100,14 @@ impl Segment {
         out.freeze()
     }
 
-    fn decode(src: IpAddr, dst: IpAddr, buf: &[u8]) -> Option<(Segment, Bytes)> {
+    /// Verify the checksum (pseudo header + whole segment must sum to 0)
+    /// and parse. The payload is a view into `buf`; no bytes are copied.
+    pub fn decode(src: IpAddr, dst: IpAddr, buf: &Bytes) -> Option<(Segment, Bytes)> {
         if buf.len() < TCP_HEADER {
             return None;
         }
-        // Verify: checksum over pseudo header + full segment must be 0.
-        let mut pseudo = Vec::with_capacity(12 + buf.len());
-        pseudo.extend_from_slice(&src.0.to_be_bytes());
-        pseudo.extend_from_slice(&dst.0.to_be_bytes());
-        pseudo.extend_from_slice(&[0, 6]);
-        pseudo.extend_from_slice(&(buf.len() as u16).to_be_bytes());
-        pseudo.extend_from_slice(buf);
-        if internet_checksum(&pseudo) != 0 {
+        let pseudo = pseudo_header(src, dst, buf.len());
+        if internet_checksum_parts(&[&pseudo, buf]) != 0 {
             return None;
         }
         let seg = Segment {
@@ -113,7 +122,7 @@ impl Segment {
         if off < TCP_HEADER || buf.len() < off {
             return None;
         }
-        Some((seg, Bytes::copy_from_slice(&buf[off..])))
+        Some((seg, buf.slice(off..)))
     }
 }
 
@@ -1063,20 +1072,35 @@ impl TcpStack {
                 match c.readers.front() {
                     Some(&(len, _)) if c.recv_buf_bytes >= len => {
                         let (len, cont) = c.readers.pop_front().unwrap();
-                        let mut out = BytesMut::with_capacity(len);
-                        while out.len() < len {
-                            let mut head = c.recv_buf.pop_front().unwrap();
-                            let need = len - out.len();
-                            if head.len() <= need {
-                                out.put_slice(&head);
-                            } else {
-                                out.put_slice(&head.slice(..need));
-                                head = head.slice(need..);
-                                c.recv_buf.push_front(head);
+                        let data = match c.recv_buf.front_mut() {
+                            // The head segment holds the whole read:
+                            // deliver a view of it.
+                            Some(head) if head.len() >= len => {
+                                let data = head.slice(..len);
+                                *head = head.slice(len..);
+                                if head.is_empty() {
+                                    c.recv_buf.pop_front();
+                                }
+                                data
                             }
-                        }
+                            _ => {
+                                let mut out = BytesMut::with_capacity(len);
+                                while out.len() < len {
+                                    let mut head = c.recv_buf.pop_front().unwrap();
+                                    let need = len - out.len();
+                                    if head.len() <= need {
+                                        out.put_slice(&head);
+                                    } else {
+                                        out.put_slice(&head.slice(..need));
+                                        head = head.slice(need..);
+                                        c.recv_buf.push_front(head);
+                                    }
+                                }
+                                out.freeze()
+                            }
+                        };
                         c.recv_buf_bytes -= len;
-                        Some((out.freeze(), cont, c.pid))
+                        Some((data, cont, c.pid))
                     }
                     _ => None,
                 }
@@ -1141,7 +1165,7 @@ mod tests {
         let wire = seg.encode(src, dst, b"x");
         let mut bad = wire.to_vec();
         bad[20] ^= 0x40; // flip the payload byte
-        assert!(Segment::decode(src, dst, &bad).is_none());
+        assert!(Segment::decode(src, dst, &Bytes::from(bad)).is_none());
         // Wrong pseudo-header (different src IP) must also fail.
         assert!(Segment::decode(IpAddr::for_node(9), dst, &wire).is_none());
     }
