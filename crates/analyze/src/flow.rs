@@ -64,7 +64,7 @@ pub struct Finding {
 /// deliberately mirror the panic behaviour of the upstream crates they
 /// stand in for (`Bytes::slice` panics out of range exactly like the real
 /// `bytes`), and the analyzer is a host tool outside the simulation.
-const PANIC_EXEMPT_CRATES: &[&str] = &["shim-bytes", "shim-criterion", "shim-proptest", "analyze"];
+const PANIC_EXEMPT_CRATES: &[&str] = &["shim-bytes", "shim-proptest", "analyze"];
 
 /// Crates whose public items are the job entry points for the
 /// `unreachable-name` liveness pass.

@@ -127,8 +127,7 @@ pub const NO_UNWRAP_CRATES: &[&str] = &["core", "ethernet", "sim"];
 /// Crates exempt from the observability-name rules: dependency stand-ins
 /// (their string literals model foreign APIs) and the analyzer itself
 /// (its literals are rule data).
-pub const NAME_EXEMPT_CRATES: &[&str] =
-    &["shim-bytes", "shim-criterion", "shim-proptest", "analyze"];
+pub const NAME_EXEMPT_CRATES: &[&str] = &["shim-bytes", "shim-proptest", "analyze"];
 
 /// Files that define the observability machinery: name literals inside
 /// them are API docs/tests, not recordings.
@@ -139,9 +138,9 @@ pub const OBS_INFRA_FILES: &[&str] = &[
     "crates/sim/src/timeseries.rs",
 ];
 
-/// Per-crate rule applicability. `bench` and the shims legitimately read
-/// the host clock (they measure real elapsed time); only simulation
-/// crates must stay virtual-time-pure.
+/// Per-crate rule applicability. `bench` legitimately reads the host
+/// clock (it measures real elapsed time); only simulation crates must
+/// stay virtual-time-pure.
 #[derive(Debug, Clone, Copy)]
 // Independent per-rule-family switches, not a state machine.
 #[allow(clippy::struct_excessive_bools)]

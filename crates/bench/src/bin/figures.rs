@@ -28,7 +28,7 @@
 //! `figures bench` is the only command that writes `BENCH_figures.json`:
 //! wall clock and cache statistics per figure, the speedup over a serial
 //! run of the executed jobs, per-figure metric totals and the engine
-//! microbenches. Figure runs print their results and leave the file as it
+//! self-profile. Figure runs print their results and leave the file as it
 //! is.
 
 use clic_bench::json::Json;
@@ -51,9 +51,8 @@ const USAGE: &str = "usage: figures [--quick|--smoke] [--json] [--jobs N] [--no-
         (replays one scenario with the timeline recorder on: CSV series
         on stdout, Perfetto counter-track JSON to --out; chaos keeps only
         the last --last buckets, flight-recorder style)
-   or: figures bench [--quick|--smoke] [--json] [--jobs N] [--repeat N]
-        (engine microbenches vs a BinaryHeap reference engine, plus a
-        self-profiled uncached full-grid replay; results land in
+   or: figures bench [--quick|--smoke] [--json] [--jobs N]
+        (self-profiled uncached full-grid replay; results land in
         BENCH_figures.json)";
 
 /// Per-figure totals of the `m.`-prefixed measurement keys every job
@@ -361,141 +360,28 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// One measured microbench: `repeat` timed runs of a fixed event count.
-struct BenchRow {
-    name: String,
-    events: u64,
-    median_secs: f64,
-    min_secs: f64,
-}
-
-impl BenchRow {
-    /// Events per second at the median run.
-    fn events_per_sec(&self) -> f64 {
-        if self.median_secs > 0.0 {
-            self.events as f64 / self.median_secs
-        } else {
-            0.0
-        }
-    }
-
-    fn json(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(self.name.as_str())),
-            ("events", Json::from(self.events as usize)),
-            ("median_secs", Json::Num(self.median_secs)),
-            ("min_secs", Json::Num(self.min_secs)),
-            ("events_per_sec", Json::Num(self.events_per_sec())),
-        ])
-    }
-}
-
-/// Time `repeat` runs of `work` (which returns its event count).
-fn measure(name: String, repeat: usize, work: impl Fn() -> u64) -> BenchRow {
-    let mut secs = Vec::with_capacity(repeat);
-    let mut events = 0;
-    for _ in 0..repeat {
-        let start = std::time::Instant::now();
-        events = work();
-        secs.push(start.elapsed().as_secs_f64());
-    }
-    secs.sort_by(f64::total_cmp);
-    BenchRow {
-        name,
-        events,
-        median_secs: secs[secs.len() / 2],
-        min_secs: secs[0],
-    }
-}
-
-/// The synthetic engine workloads, sized to `n` events each.
-mod workloads {
-    use clic_bench::reference::RefEngine;
-    use clic_sim::{Sim, SimDuration};
-
-    /// Self-rescheduling chain through the fn-pointer fast path.
-    pub fn sim_chain(n: u64) -> u64 {
-        let mut sim = Sim::new(0);
-        fn tick(sim: &mut Sim, left: u64) {
-            if left > 0 {
-                sim.schedule_arg_in(SimDuration::from_ns(10), tick, left - 1);
-            }
-        }
-        tick(&mut sim, n);
-        sim.run();
-        sim.events_executed()
-    }
-
-    /// The same chain through boxed closures (the general API).
-    pub fn sim_chain_boxed(n: u64) -> u64 {
-        let mut sim = Sim::new(0);
-        fn tick(sim: &mut Sim, left: u64) {
-            if left > 0 {
-                sim.schedule_in(SimDuration::from_ns(10), move |sim| tick(sim, left - 1));
-            }
-        }
-        tick(&mut sim, n);
-        sim.run();
-        sim.events_executed()
-    }
-
-    /// `n` events pre-scheduled across a 1 µs window, then drained.
-    pub fn sim_fanout(n: u64) -> u64 {
-        let mut sim = Sim::new(0);
-        fn nop(_: &mut Sim) {}
-        for i in 0..n {
-            sim.schedule_fn_in(SimDuration::from_ns(i % 1000), nop);
-        }
-        sim.run();
-        sim.events_executed()
-    }
-
-    /// The chain on the pre-overhaul scheduler shape.
-    pub fn ref_chain(n: u64) -> u64 {
-        let mut e = RefEngine::new();
-        fn tick(e: &mut RefEngine, left: u64) {
-            if left > 0 {
-                e.schedule_in(10, move |e| tick(e, left - 1));
-            }
-        }
-        tick(&mut e, n);
-        e.run();
-        e.executed()
-    }
-
-    /// The fanout on the pre-overhaul scheduler shape.
-    pub fn ref_fanout(n: u64) -> u64 {
-        let mut e = RefEngine::new();
-        for i in 0..n {
-            e.schedule_in(i % 1000, |_| {});
-        }
-        e.run();
-        e.executed()
-    }
-}
-
 /// The engine self-profiler: an [`clic_sim::EngineProbe`] that clocks
-/// every dispatched event with host wall time and buckets it by dispatch
-/// arm. Wall-clock use is policy-legal here in the bench layer only —
-/// the probe never touches the simulated clock, so simulation results
-/// are bit-identical with it installed. Each job gets its own probe
-/// (from a `fn` pointer factory, so it crosses worker threads); a probe
-/// folds its private tallies into the process-wide accumulator when the
-/// job's simulator is dropped, and `take()` drains the accumulator
-/// between figure families to attribute work per module.
+/// every dispatched event with host wall time. Wall-clock use is
+/// policy-legal here in the bench layer only — the probe never touches
+/// the simulated clock, so simulation results are bit-identical with it
+/// installed. Each job gets its own probe (from a `fn` pointer factory,
+/// so it crosses worker threads); a probe folds its private tally into
+/// the process-wide accumulator when the job's simulator is dropped, and
+/// `take()` drains the accumulator between figure families to attribute
+/// work per family.
 mod profiler {
     use clic_sim::{ActionArm, EngineProbe};
     use std::sync::Mutex;
     use std::time::Instant;
 
-    /// Per-arm `(events, host_ns)`, indexed by `ActionArm as usize`.
-    pub type ArmTallies = [(u64, u64); 3];
+    /// `(events, host_ns)` of the events a probe saw.
+    pub type Tally = (u64, u64);
 
-    static AGG: Mutex<ArmTallies> = Mutex::new([(0, 0); 3]);
+    static AGG: Mutex<Tally> = Mutex::new((0, 0));
 
     struct Probe {
         started: Option<Instant>,
-        local: ArmTallies,
+        local: Tally,
     }
 
     impl EngineProbe for Probe {
@@ -504,11 +390,10 @@ mod profiler {
             self.started = Some(Instant::now());
         }
 
-        fn end(&mut self, arm: ActionArm) {
+        fn end(&mut self, _arm: ActionArm) {
             if let Some(t0) = self.started.take() {
-                let slot = &mut self.local[arm as usize];
-                slot.0 += 1;
-                slot.1 += t0.elapsed().as_nanos() as u64;
+                self.local.0 += 1;
+                self.local.1 += t0.elapsed().as_nanos() as u64;
             }
         }
     }
@@ -516,10 +401,8 @@ mod profiler {
     impl Drop for Probe {
         fn drop(&mut self) {
             let mut agg = AGG.lock().unwrap();
-            for (a, l) in agg.iter_mut().zip(self.local) {
-                a.0 += l.0;
-                a.1 += l.1;
-            }
+            agg.0 += self.local.0;
+            agg.1 += self.local.1;
         }
     }
 
@@ -527,56 +410,35 @@ mod profiler {
     pub fn probe() -> Box<dyn EngineProbe> {
         Box::new(Probe {
             started: None,
-            local: [(0, 0); 3],
+            local: (0, 0),
         })
     }
 
-    /// Drain and reset the accumulated tallies.
-    pub fn take() -> ArmTallies {
+    /// Drain and reset the accumulated tally.
+    pub fn take() -> Tally {
         std::mem::take(&mut *AGG.lock().unwrap())
     }
 }
 
-/// Render one module's arm tallies as a JSON object.
-fn profile_entry(name: &str, arms: profiler::ArmTallies) -> Json {
-    let (events, host_ns) = arms
-        .iter()
-        .fold((0, 0), |(e, ns), &(ae, ans)| (e + ae, ns + ans));
+/// Render one family's profile tally as a JSON object.
+fn profile_entry(name: &str, (events, host_ns): profiler::Tally) -> Json {
     Json::obj([
         ("name", Json::from(name)),
-        (
-            "arms",
-            Json::Arr(
-                clic_sim::ActionArm::ALL
-                    .iter()
-                    .map(|&arm| {
-                        let (e, ns) = arms[arm as usize];
-                        Json::obj([
-                            ("arm", Json::from(arm.name())),
-                            ("events", Json::from(e as usize)),
-                            ("host_ns", Json::from(ns as usize)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
         ("events", Json::from(events as usize)),
         ("host_ns", Json::from(host_ns as usize)),
     ])
 }
 
-/// The `figures bench` subcommand: engine microbenches against the
-/// in-process BinaryHeap reference engine ([`clic_bench::reference`]),
-/// then an uncached full-grid replay whose `m.events` totals give
-/// whole-simulator events/second. The replay runs with the engine
-/// self-profiler installed, so the report also attributes host time and
-/// event counts per dispatch arm per figure family. Everything lands in
-/// `BENCH_figures.json` under `"bench"`.
+/// The `figures bench` subcommand: an uncached full-grid replay whose
+/// `m.events` totals give whole-simulator events/second. The replay runs
+/// with the engine self-profiler installed, so the report also attributes
+/// host time and event counts per figure family. Exits 1 if the profiler
+/// saw a different number of events than the jobs report executing.
+/// Everything lands in `BENCH_figures.json` under `"bench"`.
 fn run_bench(args: &[String]) {
     let mut quick = false;
     let mut json = false;
     let mut jobs: Option<usize> = None;
-    let mut repeat: Option<usize> = None;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -587,10 +449,6 @@ fn run_bench(args: &[String]) {
                 Some(n) if n >= 1 => jobs = Some(n),
                 _ => die("--jobs needs a positive integer"),
             },
-            "--repeat" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => repeat = Some(n),
-                _ => die("--repeat needs a positive integer"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -598,42 +456,6 @@ fn run_bench(args: &[String]) {
             other => die(&format!("unknown bench argument '{other}'")),
         }
     }
-
-    let n: u64 = if quick { 10_000 } else { 100_000 };
-    let repeat = repeat.unwrap_or(if quick { 3 } else { 5 });
-    let tag = if quick { "10k" } else { "100k" };
-
-    let engine = [
-        measure(format!("engine_chain_{tag}"), repeat, || {
-            workloads::sim_chain(n)
-        }),
-        measure(format!("engine_chain_boxed_{tag}"), repeat, || {
-            workloads::sim_chain_boxed(n)
-        }),
-        measure(format!("engine_fanout_{tag}"), repeat, || {
-            workloads::sim_fanout(n)
-        }),
-    ];
-    let reference = [
-        measure(format!("reference_chain_{tag}"), repeat, || {
-            workloads::ref_chain(n)
-        }),
-        measure(format!("reference_fanout_{tag}"), repeat, || {
-            workloads::ref_fanout(n)
-        }),
-    ];
-    let speedup = |eng: &BenchRow, base: &BenchRow| {
-        if eng.median_secs > 0.0 {
-            base.median_secs / eng.median_secs
-        } else {
-            0.0
-        }
-    };
-    let speedups = [
-        ("chain", speedup(&engine[0], &reference[0])),
-        ("chain_boxed", speedup(&engine[1], &reference[0])),
-        ("fanout", speedup(&engine[2], &reference[1])),
-    ];
 
     // Full-grid replay: always uncached — a cache hit would measure
     // nothing — but parallel like any figures run.
@@ -646,7 +468,7 @@ fn run_bench(args: &[String]) {
         experiments::paper_sizes()
     };
     let mut timings: Vec<(String, RunReport, MetricTotals)> = Vec::new();
-    let mut profile: Vec<(String, profiler::ArmTallies)> = Vec::new();
+    let mut profile: Vec<(String, profiler::Tally)> = Vec::new();
     clic_cluster::jobs::set_job_probe_factory(Some(profiler::probe));
     profiler::take(); // start from a clean accumulator
     for kind in FigureKind::ALL {
@@ -663,12 +485,17 @@ fn run_bench(args: &[String]) {
         grid.merge(r);
         grid_metrics.merge(t);
     }
-    let mut profile_total = [(0u64, 0u64); 3];
-    for (_, arms) in &profile {
-        for (t, a) in profile_total.iter_mut().zip(arms) {
-            t.0 += a.0;
-            t.1 += a.1;
-        }
+    let profile_total = profile
+        .iter()
+        .fold((0, 0), |(e, ns), &(_, (pe, pns))| (e + pe, ns + pns));
+    // The probe must see every event the jobs executed; a mismatch means
+    // a job ran events outside the profiled simulator.
+    if profile_total.0 as f64 != grid_metrics.events {
+        eprintln!(
+            "engine self-profile saw {} events, but the jobs executed {:.0}",
+            profile_total.0, grid_metrics.events
+        );
+        std::process::exit(1);
     }
     let grid_eps_serial = if grid.serial_equiv_secs() > 0.0 {
         grid_metrics.events / grid.serial_equiv_secs()
@@ -677,20 +504,6 @@ fn run_bench(args: &[String]) {
     };
 
     let bench = Json::obj([
-        ("events_per_workload", Json::from(n as usize)),
-        ("repeat", Json::from(repeat)),
-        (
-            "engine",
-            Json::Arr(engine.iter().map(BenchRow::json).collect()),
-        ),
-        (
-            "reference",
-            Json::Arr(reference.iter().map(BenchRow::json).collect()),
-        ),
-        (
-            "speedup_vs_reference",
-            Json::obj(speedups.map(|(k, v)| (k, Json::Num(v)))),
-        ),
         (
             "full_grid",
             Json::obj([
@@ -709,7 +522,7 @@ fn run_bench(args: &[String]) {
                     Json::Arr(
                         profile
                             .iter()
-                            .map(|(name, arms)| profile_entry(name, *arms))
+                            .map(|(name, tally)| profile_entry(name, *tally))
                             .collect(),
                     ),
                 ),
@@ -721,25 +534,6 @@ fn run_bench(args: &[String]) {
     if json {
         print_json(bench.clone());
     } else {
-        println!("== engine microbenches ({n} events, {repeat} runs, median) ==");
-        println!(
-            "{:<24} {:>12} {:>12} {:>14}",
-            "bench", "median(ms)", "min(ms)", "events/sec"
-        );
-        for row in engine.iter().chain(&reference) {
-            println!(
-                "{:<24} {:>12.3} {:>12.3} {:>14.0}",
-                row.name,
-                row.median_secs * 1e3,
-                row.min_secs * 1e3,
-                row.events_per_sec()
-            );
-        }
-        println!();
-        for (name, s) in speedups {
-            println!("speedup vs reference ({name}): {s:.2}x");
-        }
-        println!();
         println!("== full-grid replay (uncached, {workers} workers) ==");
         println!(
             "{} jobs, {:.0} events, wall {:.2}s, serial-equivalent {:.2}s, {:.0} events/sec (serial)",
@@ -750,21 +544,11 @@ fn run_bench(args: &[String]) {
             grid_eps_serial
         );
         println!();
-        println!("== engine self-profile (events | host ms, per dispatch arm) ==");
-        println!(
-            "{:<16} {:>20} {:>20} {:>20}",
-            "module", "call", "call_arg", "boxed"
-        );
+        println!("== engine self-profile (per figure family) ==");
+        println!("{:<16} {:>12} {:>12}", "module", "events", "host ms");
         let total_row = ("total".to_string(), profile_total);
-        for (name, arms) in profile.iter().chain(std::iter::once(&total_row)) {
-            let cell = |(e, ns): (u64, u64)| format!("{e} | {:.1}", ns as f64 / 1e6);
-            println!(
-                "{:<16} {:>20} {:>20} {:>20}",
-                name,
-                cell(arms[0]),
-                cell(arms[1]),
-                cell(arms[2])
-            );
+        for (name, (events, ns)) in profile.iter().chain(std::iter::once(&total_row)) {
+            println!("{:<16} {:>12} {:>12.1}", name, events, *ns as f64 / 1e6);
         }
     }
 
@@ -777,7 +561,7 @@ fn run_bench(args: &[String]) {
 
 /// The `BENCH_figures.json` document: per-figure and total wall clock,
 /// cache statistics, executed-work speedup over serial and metric totals,
-/// plus the microbench section under a `"bench"` key.
+/// plus the full-grid replay and self-profile under a `"bench"` key.
 fn bench_report(
     quick: bool,
     config: &RunnerConfig,

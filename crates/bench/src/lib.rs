@@ -11,22 +11,15 @@
 //!   serial run.
 //! * [`json`] — the minimal JSON reader/writer behind the cache,
 //!   `--json` output and `BENCH_figures.json`.
-//! * `figures bench` — the engine-performance family: microbenchmarks of
-//!   the calendar-queue engine against [`reference`] (an in-process
-//!   re-implementation of the pre-overhaul `BinaryHeap` + boxed-closure
-//!   scheduler), plus an uncached full-grid replay reporting
-//!   whole-simulator events/second; it writes the whole
-//!   `BENCH_figures.json` timing report, microbenches in its `"bench"`
-//!   section.
-//! * `benches/figures.rs` — Criterion benchmarks wrapping each experiment
-//!   so regressions in simulator performance are visible.
-//! * `benches/engine.rs` — microbenchmarks of the DES engine itself
-//!   (events/second, resource contention overhead).
+//! * `figures bench` — an uncached full-grid replay reporting
+//!   whole-simulator events/second, with host time and events
+//!   self-profiled per figure family; it writes the whole
+//!   `BENCH_figures.json` timing report. The end-to-end and per-layer
+//!   benchmark of the simulator is `perfbench/`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod reference;
 pub mod render;
 pub mod runner;

@@ -8,21 +8,10 @@
 //!
 //! # Queue and event representation
 //!
-//! The pending-event queue is a hierarchical calendar queue
-//! ([`crate::queue::CalendarQueue`]) rather than a binary heap: inserts
-//! and pops on the simulator's dominant scheduling patterns (short
-//! delays from the running event, same-instant follow-ups) are O(1)
-//! instead of O(log n), and same-timestamp FIFO order falls out of the
-//! total `(time, seq)` key rather than heap internals.
-//!
-//! Events come in two flavours:
-//!
-//! * **boxed closures** ([`Sim::schedule_at`] and friends) — the general
-//!   path; one small allocation per event.
-//! * **plain function pointers** ([`Sim::schedule_fn_at`],
-//!   [`Sim::schedule_arg_at`]) — the allocation-free fast path for hot
-//!   loops whose whole context fits in one `u64` (or in component state
-//!   reachable from `&mut Sim`).
+//! The pending-event queue is a `std` [`BinaryHeap`] keyed on
+//! `(time, seq)`, and every event is a boxed closure. The strict total
+//! order on that key, not heap internals, fixes the pop order, so
+//! same-timestamp events run in FIFO order.
 //!
 //! # Invariants
 //!
@@ -34,52 +23,57 @@
 //!    the clock to the horizon when it stops there, so throughput windows
 //!    are well-defined and a later `run` resumes correctly.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use crate::metrics::Metrics;
-use crate::queue::CalendarQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimelineRecorder;
 use crate::trace::Trace;
 
 /// A scheduled event.
-enum Action {
-    /// Plain function, no captured state: the allocation-free fast path.
-    Call(fn(&mut Sim)),
-    /// Plain function plus one word of context, also allocation-free.
-    CallArg(fn(&mut Sim, u64), u64),
-    /// The general boxed-closure event.
-    Boxed(Box<dyn FnOnce(&mut Sim)>),
+type Action = Box<dyn FnOnce(&mut Sim)>;
+
+/// A pending event. The ordering is reversed on `(time, seq)` so the
+/// max-heap [`BinaryHeap`] pops the earliest event first.
+struct Event {
+    time: SimTime,
+    seq: u64,
+    action: Action,
 }
 
-/// Which dispatch arm an executed event took — the coarse "module" axis
-/// the engine can attribute without inspecting closures.
+impl PartialEq for Event {
+    fn eq(&self, other: &Event) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+
+impl Eq for Event {}
+
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Event) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Event {
+    fn cmp(&self, other: &Event) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
+/// The kind of an executed event, as reported to an [`EngineProbe`].
+/// Every event is a boxed closure, so there is one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ActionArm {
-    /// Plain function pointer (`schedule_fn_*`), allocation-free.
-    Call,
-    /// Function pointer plus one `u64` (`schedule_arg_*`).
-    CallArg,
     /// Boxed closure (`schedule_at` / `schedule_in` / `schedule_now`).
     Boxed,
 }
 
-impl ActionArm {
-    /// All arms, in declaration order.
-    pub const ALL: [ActionArm; 3] = [ActionArm::Call, ActionArm::CallArg, ActionArm::Boxed];
-
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ActionArm::Call => "call",
-            ActionArm::CallArg => "call_arg",
-            ActionArm::Boxed => "boxed",
-        }
-    }
-}
-
 /// Host-side observer of event dispatch, for engine self-profiling.
 ///
-/// The engine stays clock-free: it reports only *which* arm is about to
+/// The engine stays clock-free: it reports only that an event is about to
 /// run / just ran, and the probe implementation decides what to measure.
 /// Wall-clock probes live in the bench layer, the one place host timing
 /// is policy-legal. Probes receive no `&mut Sim`, cannot schedule, and
@@ -108,7 +102,7 @@ pub enum StopReason {
 /// registry.
 pub struct Sim {
     now: SimTime,
-    queue: CalendarQueue<Action>,
+    queue: BinaryHeap<Event>,
     next_seq: u64,
     executed: u64,
     event_limit: u64,
@@ -132,7 +126,7 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             next_seq: 0,
             executed: 0,
             event_limit: u64::MAX,
@@ -179,8 +173,9 @@ impl Sim {
         self.event_limit = limit;
     }
 
-    #[inline]
-    fn push(&mut self, at: SimTime, action: Action) {
+    /// Schedule `action` at absolute time `at`. Scheduling in the past is a
+    /// logic error in the calling component.
+    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim) + 'static) {
         assert!(
             at >= self.now,
             "event scheduled in the past: {} < {}",
@@ -190,13 +185,11 @@ impl Sim {
         let seq = self.next_seq;
         // lint:allow(time-overflow, reason="u64 insertion-order tiebreaker; 2^64 events cannot occur in one run")
         self.next_seq += 1;
-        self.queue.insert(at, seq, action);
-    }
-
-    /// Schedule `action` at absolute time `at`. Scheduling in the past is a
-    /// logic error in the calling component.
-    pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim) + 'static) {
-        self.push(at, Action::Boxed(Box::new(action)));
+        self.queue.push(Event {
+            time: at,
+            seq,
+            action: Box::new(action),
+        });
     }
 
     /// Schedule `action` after a relative delay.
@@ -210,46 +203,16 @@ impl Sim {
         self.schedule_at(self.now, action);
     }
 
-    /// Schedule a plain function at absolute time `at` — the
-    /// allocation-free fast path. Ordering semantics are identical to
-    /// [`Sim::schedule_at`].
-    #[inline]
-    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut Sim)) {
-        self.push(at, Action::Call(f));
-    }
-
-    /// Schedule a plain function after a relative delay, without
-    /// allocating. Ordering semantics are identical to
-    /// [`Sim::schedule_in`].
-    #[inline]
-    pub fn schedule_fn_in(&mut self, delay: SimDuration, f: fn(&mut Sim)) {
-        self.schedule_fn_at(self.now + delay, f);
-    }
-
-    /// Schedule a plain function carrying one `u64` of context at absolute
-    /// time `at`, without allocating.
-    #[inline]
-    pub fn schedule_arg_at(&mut self, at: SimTime, f: fn(&mut Sim, u64), arg: u64) {
-        self.push(at, Action::CallArg(f, arg));
-    }
-
-    /// Schedule a plain function carrying one `u64` of context after a
-    /// relative delay, without allocating.
-    #[inline]
-    pub fn schedule_arg_in(&mut self, delay: SimDuration, f: fn(&mut Sim, u64), arg: u64) {
-        self.schedule_arg_at(self.now + delay, f, arg);
-    }
-
     /// Execute a single event, if any. Returns `false` when the queue is
     /// empty.
     #[inline]
     pub fn step(&mut self) -> bool {
         match self.queue.pop() {
-            Some((time, _seq, action)) => {
-                debug_assert!(time >= self.now, "time ran backwards");
-                self.now = time;
+            Some(event) => {
+                debug_assert!(event.time >= self.now, "time ran backwards");
+                self.now = event.time;
                 self.executed += 1;
-                self.dispatch(action);
+                self.dispatch(event.action);
                 true
             }
             None => false,
@@ -274,31 +237,27 @@ impl Sim {
             // queue operation per event instead of a peek plus a pop.
             // Reinsertion reuses the original seq, so FIFO order among
             // same-time events is unchanged when the run resumes.
-            let Some((time, seq, action)) = self.queue.pop() else {
+            let Some(event) = self.queue.pop() else {
                 return StopReason::Drained;
             };
-            if time > horizon {
-                self.queue.insert(time, seq, action);
+            if event.time > horizon {
+                self.queue.push(event);
                 self.now = horizon;
                 return StopReason::Horizon;
             }
-            self.now = time;
+            self.now = event.time;
             self.executed += 1;
-            self.dispatch(action);
+            self.dispatch(event.action);
         }
     }
 
-    /// Execute one popped action. The common (probe-less) path is the
-    /// bare three-arm match; the profiled path is kept out of line so the
-    /// hot loop stays pristine.
+    /// Execute one popped action. The common (probe-less) path is a bare
+    /// call; the profiled path is kept out of line so the hot loop stays
+    /// pristine.
     #[inline]
     fn dispatch(&mut self, action: Action) {
         if self.probe.is_none() {
-            match action {
-                Action::Call(f) => f(self),
-                Action::CallArg(f, arg) => f(self, arg),
-                Action::Boxed(f) => f(self),
-            }
+            action(self);
         } else {
             self.dispatch_probed(action);
         }
@@ -306,24 +265,15 @@ impl Sim {
 
     #[inline(never)]
     fn dispatch_probed(&mut self, action: Action) {
-        let arm = match &action {
-            Action::Call(_) => ActionArm::Call,
-            Action::CallArg(_, _) => ActionArm::CallArg,
-            Action::Boxed(_) => ActionArm::Boxed,
-        };
         // The probe is taken for the duration of the event so the handler
         // gets the usual `&mut Sim` without aliasing it.
         let mut probe = self.probe.take();
         if let Some(p) = probe.as_mut() {
-            p.begin(arm);
+            p.begin(ActionArm::Boxed);
         }
-        match action {
-            Action::Call(f) => f(self),
-            Action::CallArg(f, arg) => f(self, arg),
-            Action::Boxed(f) => f(self),
-        }
+        action(self);
         if let Some(p) = probe.as_mut() {
-            p.end(arm);
+            p.end(ActionArm::Boxed);
         }
         self.probe = probe;
     }
@@ -411,9 +361,7 @@ mod tests {
         // Regression: a zero-duration `schedule_in` issued *during* run()
         // must queue after every event already pending at the same
         // instant, and multiple zero-duration events must keep their own
-        // insertion order — the same-time FIFO contract the calendar
-        // queue has to honor even when the running slot is partially
-        // drained.
+        // insertion order — the same-time FIFO contract.
         let mut sim = Sim::new(0);
         let log = Rc::new(RefCell::new(Vec::new()));
         let t = SimTime::from_us(3);
@@ -436,32 +384,6 @@ mod tests {
         assert_eq!(sim.run(), StopReason::Drained);
         assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(sim.now(), t);
-    }
-
-    #[test]
-    fn fn_events_interleave_with_boxed_events_in_fifo_order() {
-        // The allocation-free fast path shares the same (time, seq)
-        // ordering domain as boxed closures.
-        let mut sim = Sim::new(0);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        let l = log.clone();
-        let t = SimTime::from_us(1);
-        sim.schedule_at(t, move |_| l.borrow_mut().push(0u64));
-        fn push_arg(s: &mut Sim, arg: u64) {
-            let _ = s;
-            ARG_SINK.with(|v| v.borrow_mut().push(arg));
-        }
-        thread_local! {
-            static ARG_SINK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-        }
-        ARG_SINK.with(|v| v.borrow_mut().clear());
-        sim.schedule_arg_at(t, push_arg, 1);
-        let l = log.clone();
-        sim.schedule_at(t, move |_| l.borrow_mut().push(2));
-        sim.schedule_arg_at(t, push_arg, 3);
-        sim.run();
-        assert_eq!(*log.borrow(), vec![0, 2]);
-        ARG_SINK.with(|v| assert_eq!(*v.borrow(), vec![1, 3]));
     }
 
     #[test]
@@ -552,25 +474,25 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_every_arm_and_leaves_results_unchanged() {
+    fn probe_sees_every_event_and_leaves_results_unchanged() {
         // Probes share their tallies out via Rc, the same pattern the
         // bench-layer wall-clock probe uses.
         struct CountProbe {
-            begins: Rc<RefCell<Vec<ActionArm>>>,
-            ends: Rc<RefCell<Vec<ActionArm>>>,
+            begins: Rc<RefCell<u64>>,
+            ends: Rc<RefCell<u64>>,
         }
         impl EngineProbe for CountProbe {
-            fn begin(&mut self, arm: ActionArm) {
-                self.begins.borrow_mut().push(arm);
+            fn begin(&mut self, _arm: ActionArm) {
+                *self.begins.borrow_mut() += 1;
             }
-            fn end(&mut self, arm: ActionArm) {
-                self.ends.borrow_mut().push(arm);
+            fn end(&mut self, _arm: ActionArm) {
+                *self.ends.borrow_mut() += 1;
             }
         }
 
-        fn run_once(probed: bool) -> (Vec<u64>, Vec<ActionArm>) {
-            let begins = Rc::new(RefCell::new(Vec::new()));
-            let ends = Rc::new(RefCell::new(Vec::new()));
+        fn run_once(probed: bool) -> (Vec<u64>, u64) {
+            let begins = Rc::new(RefCell::new(0));
+            let ends = Rc::new(RefCell::new(0));
             let mut sim = Sim::new(7);
             if probed {
                 sim.set_probe(Box::new(CountProbe {
@@ -579,33 +501,27 @@ mod tests {
                 }));
             }
             let log = Rc::new(RefCell::new(Vec::new()));
-            let l = log.clone();
-            sim.schedule_at(SimTime::from_us(1), move |s| {
-                l.borrow_mut().push(s.now().as_ns())
-            });
-            fn tick(s: &mut Sim) {
-                let _ = s;
+            for us in [3, 1, 2] {
+                let l = log.clone();
+                sim.schedule_at(SimTime::from_us(us), move |s| {
+                    l.borrow_mut().push(s.now().as_ns());
+                    // A follow-up scheduled from inside a probed event.
+                    let l = l.clone();
+                    s.schedule_now(move |s| l.borrow_mut().push(s.rng.gen_range_u64(0..1000)));
+                });
             }
-            sim.schedule_fn_at(SimTime::from_us(2), tick);
-            fn tick_arg(s: &mut Sim, _arg: u64) {
-                let _ = s;
-            }
-            sim.schedule_arg_at(SimTime::from_us(3), tick_arg, 9);
             assert_eq!(sim.run(), StopReason::Drained);
             assert_eq!(sim.take_probe().is_some(), probed);
             assert_eq!(*begins.borrow(), *ends.borrow());
-            let result = (log.borrow().clone(), begins.borrow().clone());
+            let result = (log.borrow().clone(), *begins.borrow());
             result
         }
 
         let (bare, none) = run_once(false);
-        let (probed, arms) = run_once(true);
-        assert!(none.is_empty());
+        let (probed, seen) = run_once(true);
+        assert_eq!(none, 0);
         assert_eq!(bare, probed, "probe changed simulation results");
-        assert_eq!(
-            arms,
-            vec![ActionArm::Boxed, ActionArm::Call, ActionArm::CallArg]
-        );
+        assert_eq!(seen, 6, "probe missed an event");
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The substrate every other crate in this workspace runs on. It provides:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`Sim`] — a deterministic event loop (boxed closures plus an
-//!   allocation-free plain-function fast path),
-//! * [`queue`] — the hierarchical calendar queue ordering the event loop,
+//! * [`Sim`] — a deterministic event loop of boxed closures on a binary
+//!   heap ordered by `(time, seq)`,
 //! * [`Cpu`] — a two-priority-class (IRQ > task) serial processor resource,
 //! * [`SerialResource`] — a FIFO bus resource (PCI, memory bus),
 //! * [`SimRng`] — a seeded, reproducible random source,
@@ -36,7 +35,6 @@
 pub mod catalog;
 pub mod engine;
 pub mod metrics;
-pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod stats;

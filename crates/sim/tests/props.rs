@@ -212,82 +212,104 @@ fn bucket_range(v: u64) -> (u64, u64) {
     }
 }
 
-mod calendar_queue_model {
-    use clic_sim::queue::CalendarQueue;
-    use clic_sim::SimTime;
+mod schedule_model {
+    use clic_sim::engine::StopReason;
+    use clic_sim::{Sim, SimDuration, SimTime};
     use proptest::prelude::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Past 2.1 ms: far enough that an event lands well beyond the
+    /// near-term window of any bucketed scheduler.
+    const FAR_NS: u64 = 2_100_000;
+
+    /// Every event scheduled so far, as `(time, id)` with ids in schedule
+    /// order, and the `(time, id)` of every event executed, in order.
+    #[derive(Default)]
+    struct Log {
+        scheduled: Vec<(u64, usize)>,
+        executed: Vec<(u64, usize)>,
+    }
+
+    /// Schedule one event at `at`. When it runs it logs itself and, while
+    /// `depth` lasts, schedules `children` follow-ups: even-numbered ones
+    /// at zero delay, odd-numbered ones `delay` later.
+    fn schedule(
+        sim: &mut Sim,
+        log: &Rc<RefCell<Log>>,
+        at: SimTime,
+        depth: u8,
+        children: u8,
+        delay: u64,
+    ) {
+        let id = {
+            let mut l = log.borrow_mut();
+            let id = l.scheduled.len();
+            l.scheduled.push((at.as_ns(), id));
+            id
+        };
+        let log = log.clone();
+        sim.schedule_at(at, move |s| {
+            log.borrow_mut().executed.push((s.now().as_ns(), id));
+            if depth > 0 {
+                for i in 0..children {
+                    let d = if i % 2 == 0 { 0 } else { delay };
+                    let at = s.now() + SimDuration::from_ns(d);
+                    schedule(s, &log, at, depth - 1, children, delay);
+                }
+            }
+        });
+    }
 
     proptest! {
-        /// The calendar queue pops in exactly the order a sorted reference
-        /// (a `BinaryHeap` min-ordered on `(time, seq)` — the scheduler the
-        /// engine shipped with before the overhaul) would, for arbitrary
-        /// interleaved insert/peek/pop sequences. Inserts cover the shapes
-        /// the engine produces: near-cursor times (including ties with the
-        /// last popped event, the past-horizon reinsertion case), times
-        /// spread across many wheel slots, and far-future times beyond the
-        /// wheel span that land in the overflow heap.
+        /// For arbitrary schedules the engine executes events in exactly
+        /// the order of a stable sort by `(time, schedule order)`. The ops
+        /// cover same-instant ties, handlers that schedule zero-delay and
+        /// short follow-ups, far-future events, and `run_until` horizon
+        /// stops followed by new `schedule_at`s before the run resumes.
         #[test]
-        fn pops_match_binary_heap_reference(
-            ops in proptest::collection::vec((0u8..6, 0u64..2048), 1..300)
+        fn execution_matches_stable_sort(
+            ops in proptest::collection::vec((0u8..6, 0u64..2048, 0u8..4, 0u64..4096), 1..120)
         ) {
-            // One slot is 512 ns and the wheel spans 4096 slots; anything
-            // at or past `floor + WHEEL_SPAN` must take the overflow path.
-            const WHEEL_SPAN: u64 = 512 * 4096;
-            let mut q: CalendarQueue<u64> = CalendarQueue::new();
-            let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut seq = 0u64;
-            // The engine never schedules before the current time: track the
-            // last popped timestamp as the floor for new inserts.
-            let mut floor = 0u64;
-            for &(kind, off) in &ops {
+            let mut sim = Sim::new(0);
+            let log = Rc::new(RefCell::new(Log::default()));
+            for &(kind, off, children, delay) in &ops {
+                let now = sim.now();
                 match kind {
-                    // Near-cursor insert; off == 0 reproduces the
-                    // horizon-pause reinsert (time equal to "now").
-                    0 | 1 => {
-                        let t = floor + off;
-                        q.insert(SimTime::from_ns(t), seq, seq);
-                        model.push(Reverse((t, seq)));
-                        seq += 1;
+                    // A tie with the current instant.
+                    0 => schedule(&mut sim, &log, now, 2, children, delay),
+                    // A near event whose handler spawns short follow-ups.
+                    1 | 2 => {
+                        let at = now + SimDuration::from_ns(off);
+                        schedule(&mut sim, &log, at, 2, children, delay % 64);
                     }
-                    // Spread across many slots of the wheel.
-                    2 => {
-                        let t = floor + off * 997;
-                        q.insert(SimTime::from_ns(t), seq, seq);
-                        model.push(Reverse((t, seq)));
-                        seq += 1;
-                    }
-                    // Far future: beyond the wheel span, into overflow.
+                    // A far-future event that spawns far-future follow-ups.
                     3 => {
-                        let t = floor + WHEEL_SPAN + off * 31;
-                        q.insert(SimTime::from_ns(t), seq, seq);
-                        model.push(Reverse((t, seq)));
-                        seq += 1;
+                        let at = now + SimDuration::from_ns(FAR_NS + off * 31);
+                        schedule(&mut sim, &log, at, 1, children, FAR_NS + delay);
                     }
-                    // Peek must agree without disturbing pop order.
+                    // Stop at a horizon; later ops schedule into the gap
+                    // between the stop and the events still pending.
                     4 => {
-                        let got = q.next_key().map(|(t, s)| (t.as_ns(), s));
-                        prop_assert_eq!(got, model.peek().map(|r| r.0));
+                        let horizon = now + SimDuration::from_ns(off * 97);
+                        let stop = sim.run_until(horizon);
+                        prop_assert!(stop != StopReason::EventLimit);
+                        if stop == StopReason::Horizon {
+                            prop_assert_eq!(sim.now(), horizon);
+                        }
                     }
                     _ => {
-                        let got = q.pop().map(|(t, s, v)| (t.as_ns(), s, v));
-                        let want = model.pop().map(|Reverse((t, s))| (t, s, s));
-                        if let Some((t, _, _)) = got {
-                            floor = t;
-                        }
-                        prop_assert_eq!(got, want);
-                        prop_assert_eq!(q.len(), model.len());
+                        sim.step();
                     }
                 }
             }
-            // Drain both queues: every remaining event agrees too.
-            while let Some(Reverse((t, s))) = model.pop() {
-                let got = q.pop().map(|(t, s, v)| (t.as_ns(), s, v));
-                prop_assert_eq!(got, Some((t, s, s)));
-            }
-            prop_assert!(q.is_empty());
-            prop_assert_eq!(q.pop(), None);
+            prop_assert_eq!(sim.run(), StopReason::Drained);
+            let log = log.borrow();
+            let mut expect = log.scheduled.clone();
+            expect.sort_by_key(|&(t, _)| t);
+            prop_assert_eq!(&log.executed, &expect);
+            prop_assert_eq!(sim.events_executed(), expect.len() as u64);
+            prop_assert_eq!(sim.events_pending(), 0);
         }
     }
 }
