@@ -1,68 +1,59 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] [--json] [--jobs N] [--no-cache] [--cache-dir DIR]
-//!         [--metrics] <what>...
+//! figures [--quick] [--json] [--jobs N] [--metrics] <what>...
 //!   what: fig4 fig5 fig6 fig7 scalars gamma coalescing fragmentation
 //!         bonding syscall loss cpu load paths scaling reliability
 //!         chaos scale congestion claims all (chaos, scale and
 //!         congestion are opt-in: not part of all)
 //! figures trace [scenario] [--size N] [--mtu M] [--seed S] [--out FILE]
-//!         [--metrics] [--quick]
+//!         [--metrics]
 //!   scenario: fig7a (default) fig7b fig7a-lossy tcp
 //! ```
 //!
 //! * `--quick` (alias `--smoke`) uses a reduced size grid.
-//! * `--json` emits machine-readable output instead of CSV + ASCII charts.
+//! * `--json` prints one JSON document,
+//!   `{"families":[{"name":..,"output":..}]}`, instead of CSV + ASCII
+//!   charts.
 //! * `--jobs N` runs experiment jobs on N worker threads (default: all
-//!   cores). Results are bit-identical for every N.
-//! * `--no-cache` / `--cache-dir DIR` control the content-addressed result
-//!   cache (default `target/figures-cache/`); cached jobs are reused when
-//!   the job configuration and cost-model constants are unchanged.
+//!   cores). Results are bit-identical for every N. Every run simulates
+//!   every job; nothing is cached between runs.
 //! * `--metrics` also prints each figure's metric totals (drops,
 //!   retransmits, peak switch queue depth).
 //! * `trace` runs one traced message through the pipeline, writes Chrome
 //!   trace-event JSON (load it at <https://ui.perfetto.dev>) and prints a
 //!   per-stage breakdown.
 //!
-//! `figures bench` is the only command that writes `BENCH_figures.json`:
-//! wall clock and cache statistics per figure, the speedup over a serial
-//! run of the executed jobs, per-figure metric totals and the engine
-//! self-profile. Figure runs print their results and leave the file as it
-//! is.
+//! The simulator's own performance (wall time, events/s, allocations,
+//! per-layer split) is measured by `perfbench/`, not by this binary.
 
 use clic_bench::json::Json;
 use clic_bench::render::{series_ascii, series_csv};
-use clic_bench::runner::{run_jobs, RunReport, RunnerConfig};
+use clic_bench::runner::{run_jobs, RunnerConfig};
 use clic_cluster::experiments::{self, FigureKind, FigureOutput, ResultMap, Series, StageRow};
 use clic_cluster::observe::{self, TimelineScenario, TraceScenario};
 
-const USAGE: &str = "usage: figures [--quick|--smoke] [--json] [--jobs N] [--no-cache] \
-[--cache-dir DIR] [--metrics] <what>...
+const USAGE: &str = "usage: figures [--quick|--smoke] [--json] [--jobs N] [--metrics] <what>...
   what: fig4 fig5 fig6 fig7 scalars gamma coalescing fragmentation
         bonding syscall loss cpu load paths scaling reliability chaos
         scale congestion claims all (chaos, scale and congestion are
         opt-in: not part of all)
    or: figures trace [fig7a|fig7b|fig7a-lossy|tcp] [--size N] [--mtu M]
-        [--seed S] [--out FILE] [--metrics] [--quick]
+        [--seed S] [--out FILE] [--metrics]
    or: figures timeline [fig7a|reliability|incast|chaos|congestion]
         [--bucket-us N]
-        [--out FILE] [--last N] [--jobs N] [--smoke]
+        [--out FILE] [--last N] [--smoke]
         (replays one scenario with the timeline recorder on: CSV series
         on stdout, Perfetto counter-track JSON to --out; chaos keeps only
-        the last --last buckets, flight-recorder style)
-   or: figures bench [--quick|--smoke] [--json] [--jobs N]
-        (self-profiled uncached full-grid replay; results land in
-        BENCH_figures.json)";
+        the last --last buckets, flight-recorder style)";
 
 /// Per-figure totals of the `m.`-prefixed measurement keys every job
-/// reports (schema v2; `events` since v5).
+/// reports.
 #[derive(Debug, Clone, Copy, Default)]
 struct MetricTotals {
     drops: f64,
     retransmits: f64,
     peak_switch_queue_depth: f64,
-    events: f64,
 }
 
 impl MetricTotals {
@@ -74,30 +65,8 @@ impl MetricTotals {
             t.peak_switch_queue_depth = t
                 .peak_switch_queue_depth
                 .max(m.get("m.peak_switch_queue_depth").unwrap_or(0.0));
-            t.events += m.get("m.events").unwrap_or(0.0);
         }
         t
-    }
-
-    fn merge(&mut self, other: &MetricTotals) {
-        self.drops += other.drops;
-        self.retransmits += other.retransmits;
-        self.peak_switch_queue_depth = self
-            .peak_switch_queue_depth
-            .max(other.peak_switch_queue_depth);
-        self.events += other.events;
-    }
-
-    fn json(&self) -> Json {
-        Json::obj([
-            ("drops", Json::Num(self.drops)),
-            ("retransmits", Json::Num(self.retransmits)),
-            (
-                "peak_switch_queue_depth",
-                Json::Num(self.peak_switch_queue_depth),
-            ),
-            ("events", Json::Num(self.events)),
-        ])
     }
 }
 
@@ -111,15 +80,9 @@ fn main() {
         run_timeline_cmd(&args[1..]);
         return;
     }
-    if args.first().map(String::as_str) == Some("bench") {
-        run_bench(&args[1..]);
-        return;
-    }
     let mut quick = false;
     let mut json = false;
     let mut jobs: Option<usize> = None;
-    let mut cache = true;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut metrics = false;
     let mut what: Vec<String> = Vec::new();
 
@@ -128,15 +91,10 @@ fn main() {
         match arg.as_str() {
             "--quick" | "--smoke" => quick = true,
             "--json" => json = true,
-            "--no-cache" => cache = false,
             "--metrics" => metrics = true,
             "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => jobs = Some(n),
                 _ => die("--jobs needs a positive integer"),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir.into()),
-                None => die("--cache-dir needs a path"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -158,34 +116,44 @@ fn main() {
     } else {
         experiments::paper_sizes()
     };
-    let config = RunnerConfig {
-        jobs: jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-        cache_dir: cache.then(|| cache_dir.unwrap_or_else(RunnerConfig::default_cache_dir)),
-    };
+    let config = RunnerConfig::uncached(
+        jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+    );
 
+    let mut families = Vec::new();
     for item in &what {
-        if item == "claims" {
-            render_claims(json);
-            continue;
-        }
-        let Some(kind) = FigureKind::from_name(item) else {
-            eprintln!("unknown experiment '{item}'");
-            std::process::exit(2);
+        let output = if item == "claims" {
+            render_claims(json)
+        } else {
+            let Some(kind) = FigureKind::from_name(item) else {
+                die(&format!("unknown experiment '{item}'"));
+            };
+            let specs = kind.jobs(&sizes);
+            let (results, _) = run_jobs(&specs, &config);
+            let output = render(json, kind, kind.assemble(&results, &sizes));
+            if metrics && !json {
+                let totals = MetricTotals::from_results(&results);
+                println!(
+                    "[{}] metrics: drops={} retransmits={} peak_switch_queue_depth={}",
+                    kind.name(),
+                    totals.drops,
+                    totals.retransmits,
+                    totals.peak_switch_queue_depth
+                );
+                println!();
+            }
+            output
         };
-        let specs = kind.jobs(&sizes);
-        let (results, _) = run_jobs(&specs, &config);
-        render(json, kind, kind.assemble(&results, &sizes));
-        if metrics && !json {
-            let totals = MetricTotals::from_results(&results);
-            println!(
-                "[{}] metrics: drops={} retransmits={} peak_switch_queue_depth={}",
-                kind.name(),
-                totals.drops,
-                totals.retransmits,
-                totals.peak_switch_queue_depth
-            );
-            println!();
+        if let Some(output) = output {
+            families.push(Json::obj([
+                ("name", Json::from(item.as_str())),
+                ("output", output),
+            ]));
         }
+    }
+    if json {
+        let doc = Json::obj([("families", Json::Arr(families))]);
+        print!("{}", doc.pretty());
     }
 }
 
@@ -201,9 +169,6 @@ fn run_trace(args: &[String]) {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            // The trace run is a single message, so there is no reduced
-            // grid; --quick is accepted for CLI symmetry with the figures.
-            "--quick" | "--smoke" => {}
             "--metrics" => metrics = true,
             "--size" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n >= 1 => size = n,
@@ -264,9 +229,7 @@ fn run_trace(args: &[String]) {
 /// The `figures timeline` subcommand: replay one scenario with the
 /// timeline recorder sampling into fixed-width buckets. The CSV series go
 /// to stdout; the Chrome/Perfetto counter-track JSON to `--out`. Output
-/// is a pure function of (scenario, bucket, ring capacity): `--jobs` is
-/// accepted for symmetry with the figure runs but a timeline replay is a
-/// single simulation, so the bytes are identical for every N.
+/// is a pure function of (scenario, bucket, ring capacity).
 fn run_timeline_cmd(args: &[String]) {
     let mut scenario = TimelineScenario::Incast;
     let mut bucket_us = 10u64;
@@ -289,10 +252,6 @@ fn run_timeline_cmd(args: &[String]) {
             "--out" => match it.next() {
                 Some(path) => out = Some(path.into()),
                 None => die("--out needs a path"),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => {}
-                _ => die("--jobs needs a positive integer"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -360,269 +319,14 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The engine self-profiler: an [`clic_sim::EngineProbe`] that clocks
-/// every dispatched event with host wall time. Wall-clock use is
-/// policy-legal here in the bench layer only — the probe never touches
-/// the simulated clock, so simulation results are bit-identical with it
-/// installed. Each job gets its own probe (from a `fn` pointer factory,
-/// so it crosses worker threads); a probe folds its private tally into
-/// the process-wide accumulator when the job's simulator is dropped, and
-/// `take()` drains the accumulator between figure families to attribute
-/// work per family.
-mod profiler {
-    use clic_sim::{ActionArm, EngineProbe};
-    use std::sync::Mutex;
-    use std::time::Instant;
-
-    /// `(events, host_ns)` of the events a probe saw.
-    pub type Tally = (u64, u64);
-
-    static AGG: Mutex<Tally> = Mutex::new((0, 0));
-
-    struct Probe {
-        started: Option<Instant>,
-        local: Tally,
-    }
-
-    impl EngineProbe for Probe {
-        fn begin(&mut self, _arm: ActionArm) {
-            // lint:allow(determinism-taint, reason="engine self-profiler measures host time only; tallies never feed back into simulated state")
-            self.started = Some(Instant::now());
-        }
-
-        fn end(&mut self, _arm: ActionArm) {
-            if let Some(t0) = self.started.take() {
-                self.local.0 += 1;
-                self.local.1 += t0.elapsed().as_nanos() as u64;
-            }
-        }
-    }
-
-    impl Drop for Probe {
-        fn drop(&mut self) {
-            let mut agg = AGG.lock().unwrap();
-            agg.0 += self.local.0;
-            agg.1 += self.local.1;
-        }
-    }
-
-    /// Factory handed to [`clic_cluster::jobs::set_job_probe_factory`].
-    pub fn probe() -> Box<dyn EngineProbe> {
-        Box::new(Probe {
-            started: None,
-            local: (0, 0),
-        })
-    }
-
-    /// Drain and reset the accumulated tally.
-    pub fn take() -> Tally {
-        std::mem::take(&mut *AGG.lock().unwrap())
-    }
-}
-
-/// Render one family's profile tally as a JSON object.
-fn profile_entry(name: &str, (events, host_ns): profiler::Tally) -> Json {
-    Json::obj([
-        ("name", Json::from(name)),
-        ("events", Json::from(events as usize)),
-        ("host_ns", Json::from(host_ns as usize)),
-    ])
-}
-
-/// The `figures bench` subcommand: an uncached full-grid replay whose
-/// `m.events` totals give whole-simulator events/second. The replay runs
-/// with the engine self-profiler installed, so the report also attributes
-/// host time and event counts per figure family. Exits 1 if the profiler
-/// saw a different number of events than the jobs report executing.
-/// Everything lands in `BENCH_figures.json` under `"bench"`.
-fn run_bench(args: &[String]) {
-    let mut quick = false;
-    let mut json = false;
-    let mut jobs: Option<usize> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" | "--smoke" => quick = true,
-            "--json" => json = true,
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => die("--jobs needs a positive integer"),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => die(&format!("unknown bench argument '{other}'")),
-        }
-    }
-
-    // Full-grid replay: always uncached — a cache hit would measure
-    // nothing — but parallel like any figures run.
-    let workers =
-        jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let config = RunnerConfig::uncached(workers);
-    let sizes = if quick {
-        experiments::quick_sizes()
-    } else {
-        experiments::paper_sizes()
-    };
-    let mut timings: Vec<(String, RunReport, MetricTotals)> = Vec::new();
-    let mut profile: Vec<(String, profiler::Tally)> = Vec::new();
-    clic_cluster::jobs::set_job_probe_factory(Some(profiler::probe));
-    profiler::take(); // start from a clean accumulator
-    for kind in FigureKind::ALL {
-        let specs = kind.jobs(&sizes);
-        let (results, report) = run_jobs(&specs, &config);
-        let totals = MetricTotals::from_results(&results);
-        timings.push((kind.name().to_string(), report, totals));
-        profile.push((kind.name().to_string(), profiler::take()));
-    }
-    clic_cluster::jobs::set_job_probe_factory(None);
-    let mut grid = RunReport::default();
-    let mut grid_metrics = MetricTotals::default();
-    for (_, r, t) in &timings {
-        grid.merge(r);
-        grid_metrics.merge(t);
-    }
-    let profile_total = profile
-        .iter()
-        .fold((0, 0), |(e, ns), &(_, (pe, pns))| (e + pe, ns + pns));
-    // The probe must see every event the jobs executed; a mismatch means
-    // a job ran events outside the profiled simulator.
-    if profile_total.0 as f64 != grid_metrics.events {
-        eprintln!(
-            "engine self-profile saw {} events, but the jobs executed {:.0}",
-            profile_total.0, grid_metrics.events
-        );
-        std::process::exit(1);
-    }
-    let grid_eps_serial = if grid.serial_equiv_secs() > 0.0 {
-        grid_metrics.events / grid.serial_equiv_secs()
-    } else {
-        0.0
-    };
-
-    let bench = Json::obj([
-        (
-            "full_grid",
-            Json::obj([
-                ("jobs", Json::from(grid.jobs.len())),
-                ("events", Json::Num(grid_metrics.events)),
-                ("wall_secs", Json::Num(grid.wall_secs)),
-                ("serial_equiv_secs", Json::Num(grid.serial_equiv_secs())),
-                ("events_per_sec_serial", Json::Num(grid_eps_serial)),
-            ]),
-        ),
-        (
-            "profile",
-            Json::obj([
-                (
-                    "modules",
-                    Json::Arr(
-                        profile
-                            .iter()
-                            .map(|(name, tally)| profile_entry(name, *tally))
-                            .collect(),
-                    ),
-                ),
-                ("total", profile_entry("total", profile_total)),
-            ]),
-        ),
-    ]);
-
-    if json {
-        print_json(bench.clone());
-    } else {
-        println!("== full-grid replay (uncached, {workers} workers) ==");
-        println!(
-            "{} jobs, {:.0} events, wall {:.2}s, serial-equivalent {:.2}s, {:.0} events/sec (serial)",
-            grid.jobs.len(),
-            grid_metrics.events,
-            grid.wall_secs,
-            grid.serial_equiv_secs(),
-            grid_eps_serial
-        );
-        println!();
-        println!("== engine self-profile (per figure family) ==");
-        println!("{:<16} {:>12} {:>12}", "module", "events", "host ms");
-        let total_row = ("total".to_string(), profile_total);
-        for (name, (events, ns)) in profile.iter().chain(std::iter::once(&total_row)) {
-            println!("{:<16} {:>12} {:>12.1}", name, events, *ns as f64 / 1e6);
-        }
-    }
-
-    let path = "BENCH_figures.json";
-    match std::fs::write(path, bench_report(quick, &config, &timings, bench).pretty()) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// The `BENCH_figures.json` document: per-figure and total wall clock,
-/// cache statistics, executed-work speedup over serial and metric totals,
-/// plus the full-grid replay and self-profile under a `"bench"` key.
-fn bench_report(
-    quick: bool,
-    config: &RunnerConfig,
-    timings: &[(String, RunReport, MetricTotals)],
-    bench: Json,
-) -> Json {
-    let figure_entry = |name: &str, r: &RunReport, t: &MetricTotals| {
-        Json::obj([
-            ("name", Json::from(name)),
-            ("jobs", Json::from(r.jobs.len())),
-            ("cache_hits", Json::from(r.cache_hits())),
-            ("cache_hit_rate", Json::Num(r.cache_hit_rate())),
-            ("wall_secs", Json::Num(r.wall_secs)),
-            ("serial_equiv_secs", Json::Num(r.serial_equiv_secs())),
-            ("speedup_vs_serial", Json::Num(r.speedup_vs_serial())),
-            ("metrics", t.json()),
-        ])
-    };
-    let mut total = RunReport::default();
-    let mut total_metrics = MetricTotals::default();
-    for (_, r, t) in timings {
-        total.merge(r);
-        total_metrics.merge(t);
-    }
-    Json::obj([
-        (
-            "schema",
-            Json::from(clic_cluster::jobs::MEASUREMENT_SCHEMA_VERSION as usize),
-        ),
-        ("grid", Json::from(if quick { "quick" } else { "paper" })),
-        ("workers", Json::from(config.jobs)),
-        // Recorded so speedup numbers can be interpreted: with more
-        // workers than cores, per-job timings include preemption time
-        // and `speedup_vs_serial` overstates the real wall-clock gain.
-        (
-            "host_cores",
-            Json::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
-        ),
-        ("cache_enabled", Json::from(config.cache_dir.is_some())),
-        (
-            "figures",
-            Json::Arr(
-                timings
-                    .iter()
-                    .map(|(name, r, t)| figure_entry(name, r, t))
-                    .collect(),
-            ),
-        ),
-        ("total", figure_entry("total", &total, &total_metrics)),
-        ("bench", bench),
-    ])
-}
-
-fn render(json: bool, kind: FigureKind, output: FigureOutput) {
+fn render(json: bool, kind: FigureKind, output: FigureOutput) -> Option<Json> {
     match output {
         FigureOutput::Series(series) => figure(json, kind.title(), &series),
         FigureOutput::Stages { a, b } => render_fig7(json, kind.title(), &a, &b),
         FigureOutput::Scalars(s) => render_scalars(json, kind.title(), &s),
         FigureOutput::Gamma(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -632,7 +336,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -647,11 +351,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                 }
                 println!("(paper: CLIC 36 us / ~600 Mb/s; GAMMA 32 us (GA620) / 768-824 Mb/s)");
                 println!();
+                None
             }
         }
         FigureOutput::Coalescing(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -663,7 +368,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -677,11 +382,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Bonding(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -691,7 +397,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -705,11 +411,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Syscall(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -718,18 +425,19 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 for r in rows {
                     println!("{:<12} {:>8.2} us one-way", r.flavour, r.latency_us);
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Loss(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -739,7 +447,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!("{:>8} {:>10} {:>14}", "loss", "Mb/s", "retx/kpkt");
@@ -747,11 +455,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     println!("{:>8.3} {:>10.1} {:>14.2}", r.loss, r.mbps, r.retx_per_kpkt);
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Cpu(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -764,7 +473,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -783,11 +492,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Load(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -799,7 +509,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -813,11 +523,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Paths(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -828,7 +539,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -842,11 +553,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Scaling(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -856,7 +568,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -870,11 +582,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Reliability(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -890,7 +603,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -920,6 +633,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Chaos { soak, incast } => {
@@ -962,7 +676,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                         })
                         .collect(),
                 );
-                print_json(Json::obj([("soak", soak_rows), ("incast", incast_rows)]));
+                Some(Json::obj([("soak", soak_rows), ("incast", incast_rows)]))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -1023,11 +737,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Congestion(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -1045,7 +760,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -1084,11 +799,12 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
         FigureOutput::Scale(rows) => {
             if json {
-                print_json(Json::Arr(
+                Some(Json::Arr(
                     rows.iter()
                         .map(|r| {
                             Json::obj([
@@ -1104,7 +820,7 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                             ])
                         })
                         .collect(),
-                ));
+                ))
             } else {
                 println!("== {} ==", kind.title());
                 println!(
@@ -1134,12 +850,13 @@ fn render(json: bool, kind: FigureKind, output: FigureOutput) {
                     );
                 }
                 println!();
+                None
             }
         }
     }
 }
 
-fn render_fig7(json: bool, title: &str, a: &[StageRow], b: &[StageRow]) {
+fn render_fig7(json: bool, title: &str, a: &[StageRow], b: &[StageRow]) -> Option<Json> {
     if json {
         let stages = |rows: &[StageRow]| {
             Json::Arr(
@@ -1153,8 +870,7 @@ fn render_fig7(json: bool, title: &str, a: &[StageRow], b: &[StageRow]) {
                     .collect(),
             )
         };
-        print_json(Json::obj([("fig7a", stages(a)), ("fig7b", stages(b))]));
-        return;
+        return Some(Json::obj([("fig7a", stages(a)), ("fig7b", stages(b))]));
     }
     println!("== {title} ==");
     println!("{:<18} {:>10} {:>10}", "stage", "7a (us)", "7b (us)");
@@ -1184,11 +900,12 @@ fn render_fig7(json: bool, title: &str, a: &[StageRow], b: &[StageRow]) {
         total(b)
     );
     println!();
+    None
 }
 
-fn render_scalars(json: bool, title: &str, s: &experiments::Scalars) {
+fn render_scalars(json: bool, title: &str, s: &experiments::Scalars) -> Option<Json> {
     if json {
-        print_json(Json::obj([
+        return Some(Json::obj([
             ("zero_byte_latency_us", Json::Num(s.zero_byte_latency_us)),
             (
                 "clic_asymptote_9000_mbps",
@@ -1215,7 +932,6 @@ fn render_scalars(json: bool, title: &str, s: &experiments::Scalars) {
                 Json::from(s.tcp_half_bandwidth_bytes),
             ),
         ]));
-        return;
     }
     println!("== {title} ==");
     println!(
@@ -1247,12 +963,13 @@ fn render_scalars(json: bool, title: &str, s: &experiments::Scalars) {
         s.tcp_half_bandwidth_bytes
     );
     println!();
+    None
 }
 
-fn render_claims(json: bool) {
+fn render_claims(json: bool) -> Option<Json> {
     let rows = experiments::claims();
     if json {
-        print_json(Json::Arr(
+        return Some(Json::Arr(
             rows.iter()
                 .map(|r| {
                     Json::obj([
@@ -1264,7 +981,6 @@ fn render_claims(json: bool) {
                 })
                 .collect(),
         ));
-        return;
     }
     println!("== Paper-claim checklist ==");
     let mut all_pass = true;
@@ -1287,15 +1003,12 @@ fn render_claims(json: bool) {
     if !all_pass {
         std::process::exit(1);
     }
+    None
 }
 
-fn print_json(doc: Json) {
-    print!("{}", doc.pretty());
-}
-
-fn figure(json: bool, title: &str, series: &[Series]) {
+fn figure(json: bool, title: &str, series: &[Series]) -> Option<Json> {
     if json {
-        print_json(Json::Arr(
+        Some(Json::Arr(
             series
                 .iter()
                 .map(|s| {
@@ -1318,12 +1031,13 @@ fn figure(json: bool, title: &str, series: &[Series]) {
                     ])
                 })
                 .collect(),
-        ));
+        ))
     } else {
         println!("== {title} ==");
         print!("{}", series_csv(series));
         println!();
         print!("{}", series_ascii(series, 40));
         println!();
+        None
     }
 }

@@ -1,11 +1,11 @@
 //! A minimal JSON value type with a pretty printer and parser.
 //!
-//! The harness needs JSON in three places — the result cache, the
-//! `BENCH_figures.json` report and `figures --json` output — and the
-//! build environment has no registry access for `serde_json`, so this
-//! module carries the small subset required: the value enum, a
-//! deterministic pretty printer and a recursive-descent parser for the
-//! documents the harness itself writes.
+//! The harness writes JSON for `figures --json` output, and its tests
+//! read back the trace and timeline documents it emits. The build
+//! environment has no registry access for `serde_json`, so this module
+//! carries the small subset required: the value enum, a deterministic
+//! pretty printer and a recursive-descent parser for the documents the
+//! harness itself writes.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -1,6 +1,6 @@
 //! The parallel runner must be invisible in the results: the full
 //! `--quick` grid produces bit-identical measurements for `--jobs 1` and
-//! `--jobs 4`, with and without the cache in the loop.
+//! `--jobs 4`.
 
 use clic_bench::runner::{run_jobs, RunnerConfig};
 use clic_cluster::experiments::{FigureKind, ResultMap};
@@ -51,24 +51,4 @@ fn scale_grid_identical_for_jobs_1_and_4() {
     assert_eq!(r1.jobs.len(), specs.len());
     assert_eq!(r4.jobs.len(), specs.len());
     assert_eq!(bits(&serial), bits(&parallel));
-}
-
-#[test]
-fn quick_grid_identical_through_the_cache() {
-    let dir = std::env::temp_dir().join(format!("clic-determinism-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = RunnerConfig {
-        jobs: 4,
-        cache_dir: Some(dir.clone()),
-    };
-    // Subset (one figure) to keep the cached pass cheap; the full-grid
-    // equivalence is covered above.
-    let sizes = clic_cluster::experiments::quick_sizes();
-    let specs = FigureKind::Fig4.jobs(&sizes);
-    let (fresh, r1) = run_jobs(&specs, &config);
-    assert_eq!(r1.cache_hits(), 0);
-    let (cached, r2) = run_jobs(&specs, &config);
-    assert_eq!(r2.cache_hits(), specs.len());
-    assert_eq!(bits(&fresh), bits(&cached));
-    let _ = std::fs::remove_dir_all(&dir);
 }

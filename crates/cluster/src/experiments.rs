@@ -5,9 +5,9 @@
 //! `<figure>_from(..)` assembles the figure from a [`ResultMap`] keyed by
 //! job id — so assembly is independent of the order jobs completed in,
 //! and the whole grid can be executed by any scheduler (the parallel
-//! runner with its result cache lives in `clic-bench`). The plain
-//! `fig4(..)`-style functions are convenience wrappers that run their own
-//! jobs serially in-process.
+//! runner lives in `clic-bench`). The plain `fig4(..)`-style functions
+//! that remain are convenience wrappers, used by [`claims`] and the tests,
+//! that run their own jobs serially in-process.
 
 use crate::builder::{ClusterConfig, Topology};
 use crate::calibration::CostModel;
@@ -601,7 +601,8 @@ fn fragmentation_cases() -> Vec<(&'static str, ClusterConfig)> {
     ]
 }
 
-/// Ablation B jobs: both sweeps.
+/// Ablation B jobs — NIC TX/RX fragmentation offload (the paper's future
+/// work): both sweeps.
 pub fn fragmentation_jobs(sizes: &[usize]) -> Vec<JobSpec> {
     fragmentation_cases()
         .into_iter()
@@ -615,11 +616,6 @@ pub fn fragmentation_from(results: &ResultMap, sizes: &[usize]) -> Vec<Series> {
         .into_iter()
         .map(|(label, _)| sweep_from(results, "fragmentation", label, sizes))
         .collect()
-}
-
-/// Ablation B: NIC TX/RX fragmentation offload (the paper's future work).
-pub fn ablation_fragmentation(sizes: &[usize]) -> Vec<Series> {
-    fragmentation_from(&run_serial(&fragmentation_jobs(sizes)), sizes)
 }
 
 /// Ablation C row: channel bonding width vs bandwidth.
@@ -984,7 +980,11 @@ pub struct LoadedLatencyRow {
     pub p99_us: f64,
 }
 
-/// Ablation G jobs: {CLIC, TCP} × {idle, loaded}.
+/// Ablation G jobs — §3.2's multiprogramming argument: CLIC keeps
+/// standard system calls so the scheduler can service pending messages
+/// promptly even when other traffic loads the node. 64-byte request/reply
+/// latency, {CLIC, TCP} × {idle, loaded}, while a bulk transfer saturates
+/// the same pair of nodes.
 pub fn load_jobs() -> Vec<JobSpec> {
     [("CLIC", true), ("TCP", false)]
         .into_iter()
@@ -1015,14 +1015,6 @@ pub fn load_from(results: &ResultMap) -> Vec<LoadedLatencyRow> {
         }
     }
     rows
-}
-
-/// Ablation G — §3.2's multiprogramming argument: CLIC keeps standard
-/// system calls so the scheduler can service pending messages promptly
-/// even when other traffic loads the node. Measure 64-byte request/reply
-/// latency while a bulk transfer saturates the same pair of nodes.
-pub fn ablation_latency_under_load() -> Vec<LoadedLatencyRow> {
-    load_from(&run_serial(&load_jobs()))
 }
 
 /// One cell of the reliability-under-loss family: a (stack, MTU, loss
@@ -1103,8 +1095,9 @@ fn reliability_cases(quick: bool) -> Vec<(String, StackKind, &'static str, usize
     cases
 }
 
-/// Reliability jobs: CLIC vs TCP × MTU × (loss rate, burstiness), one
-/// [`JobKind::Reliability`] each. `sizes` only selects quick vs full (as
+/// Reliability jobs — the §1 "networks have finite buffering and lose
+/// frames" scenario the paper's clean testbed never exercises: CLIC vs
+/// TCP × MTU × (loss rate, burstiness), one [`JobKind::Reliability`] each. `sizes` only selects quick vs full (as
 /// for the sweeps, a reduced size grid means a reduced reliability grid).
 pub fn reliability_jobs(sizes: &[usize]) -> Vec<JobSpec> {
     let quick = sizes.len() <= quick_sizes().len();
@@ -1153,14 +1146,6 @@ pub fn reliability_from(results: &ResultMap, sizes: &[usize]) -> Vec<Reliability
             }
         })
         .collect()
-}
-
-/// The reliability-under-loss family: goodput, tail latency and
-/// retransmission cost of CLIC vs TCP as the link degrades — the §1
-/// "networks have finite buffering and lose frames" scenario the paper's
-/// clean testbed never exercises.
-pub fn reliability(sizes: &[usize]) -> Vec<ReliabilityRow> {
-    reliability_from(&run_serial(&reliability_jobs(sizes)), sizes)
 }
 
 /// Ablation I row: all-to-all exchange scaling on a switched cluster.
@@ -1428,13 +1413,6 @@ pub fn chaos_from(results: &ResultMap, sizes: &[usize]) -> (Vec<ChaosRow>, Vec<I
     (soak, incast)
 }
 
-/// The chaos-soak + incast robustness family: crash-recovery accounting
-/// under seeded fault schedules, and receive-buffer behaviour under 4→1
-/// incast with and without backpressure.
-pub fn chaos(sizes: &[usize]) -> (Vec<ChaosRow>, Vec<IncastRow>) {
-    chaos_from(&run_serial(&chaos_jobs(sizes)), sizes)
-}
-
 // ---------------------------------------------------------------------
 // Cluster scaling: fabrics × node count × collective backend
 // ---------------------------------------------------------------------
@@ -1540,12 +1518,6 @@ pub fn scale_from(results: &ResultMap, sizes: &[usize]) -> Vec<ScaleRow> {
             }
         })
         .collect()
-}
-
-/// The cluster-scaling family: barrier/all-reduce latency vs node count on
-/// leaf–spine and fat-tree fabrics, host-based vs NIC-offloaded.
-pub fn scale(sizes: &[usize]) -> Vec<ScaleRow> {
-    scale_from(&run_serial(&scale_jobs(sizes)), sizes)
 }
 
 // ---------------------------------------------------------------------
@@ -1731,12 +1703,6 @@ pub fn congestion_from(results: &ResultMap, sizes: &[usize]) -> Vec<CongestionRo
             }
         })
         .collect()
-}
-
-/// The fabric-congestion family: fixed-window vs ECN-cwnd under incast
-/// and all-to-all shuffle on multi-switch fabrics.
-pub fn congestion(sizes: &[usize]) -> Vec<CongestionRow> {
-    congestion_from(&run_serial(&congestion_jobs(sizes)), sizes)
 }
 
 // ---------------------------------------------------------------------

@@ -9,11 +9,6 @@
 //! simulation on the thread that runs it). The figure-level assembly in
 //! [`crate::experiments`] consumes job results by id, so output never
 //! depends on completion order.
-//!
-//! Job results are also cache-friendly: [`JobSpec::fingerprint`] hashes
-//! the id, the full job configuration, and the calibrated cost-model
-//! constants, so a content-addressed result cache (see `clic-bench`)
-//! invalidates itself automatically when any of those change.
 
 use crate::builder::{Cluster, ClusterConfig};
 use crate::calibration::CostModel;
@@ -23,32 +18,6 @@ use crate::workload::{
 };
 use clic_sim::{EngineProbe, Sim, SimDuration};
 use std::sync::Mutex;
-
-/// Bump when the measurement schema changes (new/renamed value keys), so
-/// stale cache entries from older binaries are never reused.
-///
-/// v2: every job also reports `m.`-prefixed per-run metric totals (drops,
-/// retransmits, peak switch queue depth) from the [`clic_sim::Metrics`]
-/// registry.
-///
-/// v3: the reliability figure family ([`JobKind::Reliability`]); the
-/// drop total also counts FCS-discarded frames and the retransmit total
-/// counts CLIC fast retransmits.
-///
-/// v4: the chaos/incast robustness family ([`JobKind::Chaos`],
-/// [`JobKind::Incast`]).
-///
-/// v5: every job also reports `m.events` (simulator events executed), the
-/// denominator of the `figures bench` events-per-second report.
-///
-/// v6: the cluster-scaling family ([`JobKind::ScaleCollective`]): barrier
-/// and all-reduce latency on multi-switch fabrics, host-based vs
-/// NIC-offloaded.
-///
-/// v7: the fabric-congestion family (`figures congestion`): every job also
-/// reports `m.ecn_marks` (switch congestion marks) and `m.ecn_echoes`
-/// (marks echoed on CLIC ACKs), and incast jobs report `goodput_mbps`.
-pub const MEASUREMENT_SCHEMA_VERSION: u32 = 7;
 
 /// The flat result of one job: named scalar values, in a stable,
 /// job-defined order (stage breakdowns rely on the order).
@@ -222,43 +191,6 @@ impl JobSpec {
     pub fn run(&self) -> Measurement {
         self.kind.run()
     }
-
-    /// Content hash of everything the result depends on: the job id, the
-    /// full job configuration (including any embedded [`ClusterConfig`]
-    /// and its cost model), the calibrated-era constants used by jobs
-    /// that build their configs internally, and the measurement schema
-    /// version. Changing any constant in `calibration.rs` therefore
-    /// changes the fingerprint and invalidates cached results.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(self.id.as_bytes());
-        h.write(format!("{:?}", self.kind).as_bytes());
-        h.write(format!("{:?}", CostModel::era_2002()).as_bytes());
-        h.write(&MEASUREMENT_SCHEMA_VERSION.to_le_bytes());
-        h.finish()
-    }
-}
-
-/// 64-bit FNV-1a. Stable across platforms and Rust versions (unlike
-/// `DefaultHasher`), which the on-disk cache relies on.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator so concatenations can't collide field boundaries.
-        self.0 ^= 0xff;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl JobKind {
@@ -322,7 +254,7 @@ impl JobKind {
     }
 }
 
-/// Prefix of the per-run metric totals every job appends (schema v2).
+/// Prefix of the per-run metric totals every job appends.
 /// Figure assemblies that iterate a [`Measurement`] positionally must skip
 /// keys carrying this prefix.
 pub const METRIC_KEY_PREFIX: &str = "m.";
@@ -330,9 +262,10 @@ pub const METRIC_KEY_PREFIX: &str = "m.";
 /// Optional engine-probe factory consulted by every job's simulator.
 ///
 /// `None` (the default) leaves the engine's unprofiled fast path
-/// untouched. The `figures bench` self-profiler installs a factory — a
-/// plain `fn` pointer so it can cross worker threads — before replaying
-/// the grid, and each job then runs with its own probe instance. Probes
+/// untouched. A profiler (perfbench's traced pass, the probe-coverage
+/// test) installs a factory — a plain `fn` pointer so it can cross worker
+/// threads — before running a job set, and each job then runs with its
+/// own probe instance. Probes
 /// observe dispatch, they cannot schedule or touch the clock, so
 /// measurements stay bit-identical with and without one installed.
 static PROBE_FACTORY: Mutex<Option<ProbeFactory>> = Mutex::new(None);
@@ -348,8 +281,8 @@ pub fn set_job_probe_factory(factory: Option<ProbeFactory>) {
     *PROBE_FACTORY.lock().expect("probe factory lock") = factory;
 }
 
-/// A job's simulator: seeded, metrics on, and carrying a probe when the
-/// self-profiler has installed a factory.
+/// A job's simulator: seeded, metrics on, and carrying a probe when a
+/// profiler has installed a factory.
 fn job_sim(seed: u64) -> Sim {
     let mut sim = Sim::new(seed);
     sim.metrics = clic_sim::Metrics::enabled();
@@ -744,31 +677,6 @@ pub fn sweep_point(
 mod tests {
     use super::*;
     use crate::experiments;
-
-    #[test]
-    fn fingerprint_is_stable_and_config_sensitive() {
-        let model = CostModel::era_2002();
-        let mk = |size: usize| {
-            sweep_point(
-                "t/x",
-                experiments::clic_pair(&model, true, true),
-                StackKind::Clic,
-                size,
-            )
-        };
-        assert_eq!(mk(1024).fingerprint(), mk(1024).fingerprint());
-        assert_ne!(mk(1024).fingerprint(), mk(2048).fingerprint());
-        // Same config, different id: distinct cache entries.
-        let mut renamed = mk(1024);
-        renamed.id = "t/y".into();
-        assert_ne!(renamed.fingerprint(), mk(1024).fingerprint());
-        // Config changes invalidate.
-        let mut tweaked = mk(1024);
-        if let JobKind::Stream { cluster, .. } = &mut tweaked.kind {
-            cluster.model.link_bps += 1;
-        }
-        assert_ne!(tweaked.fingerprint(), mk(1024).fingerprint());
-    }
 
     #[test]
     fn jobs_are_send() {

@@ -18,8 +18,8 @@
 //! * [`jobs`] — the unit of experiment execution: every figure point is a
 //!   self-contained, named [`jobs::JobSpec`] that builds its own cluster,
 //!   runs one measurement and returns a flat [`jobs::Measurement`]. Jobs
-//!   are pure and `Send`, so any scheduler (serial, thread pool, cached)
-//!   can run them.
+//!   are pure and `Send`, so any scheduler (serial or a thread pool) can
+//!   run them.
 //! * [`experiments`] — one function per paper figure/table plus the
 //!   ablations listed in DESIGN.md §4: per-figure job builders and
 //!   order-independent assemblers, returning structured rows the
