@@ -25,7 +25,7 @@
 use crate::frame::Frame;
 use crate::link::{Link, LinkEnd};
 use crate::mac::{EtherType, MacAddr};
-use bytes::Bytes;
+use bytes::BytesMut;
 use clic_sim::catalog::{counter_id, gauge_id, histogram_id};
 use clic_sim::{Layer, MetricId, Sim, SimDuration};
 use std::cell::RefCell;
@@ -359,9 +359,10 @@ impl Switch {
     /// payload copy — the simulated analogue of the store-and-forward
     /// switch rewriting the octet as it serializes the frame out.
     fn set_ce(mut frame: Frame) -> Frame {
-        let mut bytes = frame.payload.to_vec();
+        let mut bytes = BytesMut::with_capacity(frame.payload.len());
+        bytes.extend_from_slice(&frame.payload);
         bytes[0] |= CE_BIT;
-        frame.payload = Bytes::from(bytes);
+        frame.payload = bytes.freeze();
         frame
     }
 }

@@ -11,8 +11,27 @@
 //! On top of the `bytes` API this shim recycles buffers: builders draw
 //! their backing storage from a thread-local size-classed [`pool`], and
 //! when the last [`Bytes`] reference to a buffer drops, the storage goes
-//! back to the pool instead of the allocator. Freezing is zero-copy — the
-//! builder's vector is moved, never copied, into the shared buffer.
+//! back to the pool instead of the allocator. A buffer is a vector inside
+//! its reference-counted shell (`Rc<Vec<u8>>`), and the pool keeps the
+//! two together, so freezing a pooled builder allocates nothing: the
+//! shell the builder drew from the pool becomes the shared buffer as-is.
+//!
+//! # `Bytes` is `!Send`
+//!
+//! Unlike the real crate's, this shim's [`Bytes`] and [`BytesMut`] are
+//! neither `Send` nor `Sync`: the shared buffer is counted with [`Rc`],
+//! not `Arc`, so a clone or a drop costs a plain increment instead of an
+//! atomic one, and the recycled shell needs no synchronisation. That is
+//! safe here because every buffer lives and dies inside one simulation,
+//! and a simulation runs on one thread. Parallel parameter sweeps run
+//! whole simulations on worker threads and pass only their results (which
+//! hold no `Bytes`) between threads; the compiler rejects any attempt to
+//! send a buffer across:
+//!
+//! ```compile_fail
+//! fn send<T: Send>(_: T) {}
+//! send(bytes::Bytes::from_static(b"frame"));
+//! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,16 +39,16 @@
 pub mod pool;
 
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A cheaply cloneable, immutable, sliceable view of a byte buffer.
 ///
 /// Clones and sub-slices share one reference-counted allocation; no byte
 /// data is copied after construction. Dropping the last reference offers
-/// the allocation back to the thread-local [`pool`].
+/// the allocation, shell and all, back to the thread-local [`pool`].
 #[derive(Default)]
 pub struct Bytes {
-    data: Option<Arc<Vec<u8>>>,
+    data: Option<Rc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
@@ -48,9 +67,9 @@ impl Bytes {
 
     /// Copy `data` into a fresh buffer (pooled when a recycled one fits).
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        let mut v = pool::acquire(data.len());
-        v.extend_from_slice(data);
-        Bytes::from(v)
+        let mut m = BytesMut::with_capacity(data.len());
+        m.extend_from_slice(data);
+        m.freeze()
     }
 
     /// Length of the view in bytes.
@@ -101,13 +120,9 @@ impl Clone for Bytes {
 
 impl Drop for Bytes {
     fn drop(&mut self) {
-        // Last reference out offers the backing vector to the pool.
-        if let Some(arc) = self.data.take() {
-            if let Ok(v) = Arc::try_unwrap(arc) {
-                if v.capacity() != 0 {
-                    pool::reclaim(v);
-                }
-            }
+        // Last reference out offers the buffer to the pool.
+        if let Some(shell) = self.data.take() {
+            pool::reclaim(shell);
         }
     }
 }
@@ -116,7 +131,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let end = v.len();
         Bytes {
-            data: Some(Arc::new(v)),
+            data: Some(Rc::new(v)),
             start: 0,
             end,
         }
@@ -240,57 +255,75 @@ impl<'a> IntoIterator for &'a Bytes {
 ///
 /// The backing storage comes from the thread-local [`pool`] and returns
 /// there when the buffer (or the last [`Bytes`] frozen from it) drops.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
+#[derive(Default, Debug)]
 pub struct BytesMut {
-    data: Vec<u8>,
+    /// The buffer in its shell, never shared while it is a `BytesMut`.
+    /// `None` until something is written to a [`BytesMut::new`] buffer.
+    data: Option<Rc<Vec<u8>>>,
 }
 
 impl BytesMut {
-    /// An empty buffer.
+    /// An empty buffer (no allocation until the first write).
     pub fn new() -> BytesMut {
-        BytesMut { data: Vec::new() }
+        BytesMut { data: None }
     }
 
     /// An empty buffer with at least `cap` bytes preallocated, recycled
     /// from the [`pool`] when a buffer of the right size class is free.
     pub fn with_capacity(cap: usize) -> BytesMut {
         BytesMut {
-            data: pool::acquire(cap),
+            data: Some(pool::acquire(cap)),
         }
+    }
+
+    /// The vector, for writing. The shell is never shared, so
+    /// `make_mut` never copies.
+    fn vec_mut(&mut self) -> &mut Vec<u8> {
+        Rc::make_mut(self.data.get_or_insert_with(Rc::default))
     }
 
     /// Current length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.as_ref().map_or(0, |v| v.len())
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
+    }
+
+    /// Bytes the buffer can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.as_ref().map_or(0, |v| v.capacity())
     }
 
     /// Append `src`.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.vec_mut().extend_from_slice(src);
     }
 
     /// Resize to `new_len`, filling with `value`.
     pub fn resize(&mut self, new_len: usize, value: u8) {
-        self.data.resize(new_len, value);
+        self.vec_mut().resize(new_len, value);
     }
 
-    /// Convert into an immutable [`Bytes`] without copying: the backing
-    /// vector moves into the shared buffer as-is.
+    /// Convert into an immutable [`Bytes`] without copying or allocating:
+    /// the builder's shell becomes the shared buffer as-is.
     pub fn freeze(mut self) -> Bytes {
-        Bytes::from(std::mem::take(&mut self.data))
+        let data = self.data.take();
+        let end = data.as_ref().map_or(0, |v| v.len());
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
     }
 }
 
 impl Drop for BytesMut {
     fn drop(&mut self) {
-        let v = std::mem::take(&mut self.data);
-        if v.capacity() != 0 {
-            pool::reclaim(v);
+        if let Some(shell) = self.data.take() {
+            pool::reclaim(shell);
         }
     }
 }
@@ -298,19 +331,19 @@ impl Drop for BytesMut {
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        self.data.as_deref().map_or(&[], |v| v)
     }
 }
 
 impl std::ops::DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        self.vec_mut()
     }
 }
 
 impl AsRef<[u8]> for BytesMut {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
@@ -346,7 +379,7 @@ pub trait BufMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.extend_from_slice(src);
     }
 }
 

@@ -16,12 +16,16 @@
 //!    class (64 B … 64 KiB) and pops that class's free list; on a miss it
 //!    allocates a fresh `Vec` of the full class size so the buffer stays
 //!    reusable for every future request of the class.
-//! 2. The buffer circulates inside `Bytes` clones/slices as an
-//!    `Arc<Vec<u8>>`; no bytes are copied after freeze.
-//! 3. When the last reference drops, [`reclaim`] pushes the vector back
-//!    onto its class list (capped at [`MAX_PER_CLASS`] buffers per class;
-//!    beyond that, or for odd-sized foreign vectors, the buffer falls
-//!    through to the allocator).
+//! 2. A buffer is an `Rc<Vec<u8>>`: the vector inside its
+//!    reference-counted shell. The builder writes into the shell while it
+//!    is the only owner, freezing hands the same shell to the `Bytes`
+//!    views, and no bytes are copied after freeze.
+//! 3. When the last reference drops, [`reclaim`] pushes the shell, with
+//!    its cleared vector still inside, back onto its class list (capped at
+//!    [`MAX_PER_CLASS`] buffers per class; beyond that, or for odd-sized
+//!    foreign vectors, the buffer falls through to the allocator). A
+//!    recycled buffer therefore costs no allocation at all: neither the
+//!    vector nor the shell is allocated again.
 //!
 //! # Determinism
 //!
@@ -38,6 +42,7 @@
 //! [`Stats::oversize`] rather than misses.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Smallest recycled capacity (one cache line's worth of header bytes).
 const MIN_CLASS: usize = 64;
@@ -67,7 +72,7 @@ pub struct Stats {
 }
 
 struct Pool {
-    classes: [Vec<Vec<u8>>; CLASSES],
+    classes: [Vec<Rc<Vec<u8>>>; CLASSES],
     stats: Stats,
 }
 
@@ -86,40 +91,48 @@ fn class_of(cap: usize) -> Option<usize> {
     Some((cap.ilog2() - MIN_CLASS.ilog2()) as usize)
 }
 
-/// A vector with at least `cap` bytes of capacity, recycled when the
-/// pool has one of the right class.
-pub(crate) fn acquire(cap: usize) -> Vec<u8> {
+/// An unshared buffer with at least `cap` bytes of capacity, recycled
+/// (shell and vector) when the pool has one of the right class.
+pub(crate) fn acquire(cap: usize) -> Rc<Vec<u8>> {
     let class_size = cap.next_power_of_two().max(MIN_CLASS);
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         let Some(class) = class_of(class_size) else {
             p.stats.oversize += 1;
-            return Vec::with_capacity(cap);
+            return Rc::new(Vec::with_capacity(cap));
         };
         match p.classes[class].pop() {
-            Some(v) => {
+            Some(shell) => {
                 p.stats.recycled += 1;
-                v
+                shell
             }
             None => {
                 p.stats.misses += 1;
                 // Allocate the full class size so the buffer serves any
                 // future request of the class when it comes back.
-                Vec::with_capacity(class_size)
+                Rc::new(Vec::with_capacity(class_size))
             }
         }
     })
 }
 
-/// Offer a no-longer-referenced vector back to its class list.
-pub(crate) fn reclaim(v: Vec<u8>) {
+/// Offer a buffer whose view or builder is dropping back to its class
+/// list. A shell another view still shares is not offered (that view's
+/// drop will be), and neither is a vector that never allocated.
+pub(crate) fn reclaim(mut shell: Rc<Vec<u8>>) {
+    let Some(v) = Rc::get_mut(&mut shell) else {
+        return;
+    };
+    if v.capacity() == 0 {
+        return;
+    }
+    v.clear();
+    let cap = v.capacity();
     POOL.with(|p| {
         let mut p = p.borrow_mut();
-        match class_of(v.capacity()) {
+        match class_of(cap) {
             Some(class) if p.classes[class].len() < MAX_PER_CLASS => {
-                let mut v = v;
-                v.clear();
-                p.classes[class].push(v);
+                p.classes[class].push(shell);
                 p.stats.returned += 1;
             }
             _ => p.stats.discarded += 1,
@@ -152,15 +165,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_recycles() {
+    fn round_trip_recycles_shell_and_vector() {
         reset();
         let v = acquire(1000); // -> 1024 class, miss
         assert_eq!(v.capacity(), 1024);
+        let shell = Rc::as_ptr(&v);
         reclaim(v);
-        let v2 = acquire(600); // same class, hit
+        let v2 = acquire(600); // same class, hit: the same shell
         assert_eq!(v2.capacity(), 1024);
+        assert_eq!(Rc::as_ptr(&v2), shell);
         let s = stats();
         assert_eq!((s.misses, s.returned, s.recycled), (1, 1, 1));
+        reset();
+    }
+
+    #[test]
+    fn shared_shells_are_not_reclaimed() {
+        reset();
+        let v = acquire(100);
+        let view = v.clone();
+        reclaim(v); // another owner remains: not offered, not counted
+        assert_eq!(
+            stats(),
+            Stats {
+                misses: 1,
+                ..Stats::default()
+            }
+        );
+        reclaim(view); // last owner: returned
+        assert_eq!(stats().returned, 1);
         reset();
     }
 
@@ -181,7 +214,7 @@ mod tests {
     fn class_lists_are_bounded() {
         reset();
         for _ in 0..(MAX_PER_CLASS + 5) {
-            reclaim(Vec::with_capacity(MIN_CLASS));
+            reclaim(Rc::new(Vec::with_capacity(MIN_CLASS)));
         }
         let s = stats();
         assert_eq!(s.returned, MAX_PER_CLASS as u64);
@@ -192,7 +225,7 @@ mod tests {
     #[test]
     fn foreign_capacities_are_not_pooled() {
         reset();
-        reclaim(Vec::with_capacity(100)); // not a power of two
+        reclaim(Rc::new(Vec::with_capacity(100))); // not a power of two
         assert_eq!(stats().discarded, 1);
         reset();
     }

@@ -32,8 +32,9 @@ use crate::time::{SimDuration, SimTime};
 use crate::timeseries::TimelineRecorder;
 use crate::trace::Trace;
 
-/// A scheduled event.
-type Action = Box<dyn FnOnce(&mut Sim)>;
+/// A scheduled event: one boxed closure, the only heap allocation an
+/// event costs the engine.
+pub type Action = Box<dyn FnOnce(&mut Sim)>;
 
 /// A pending event. The ordering is reversed on `(time, seq)` so the
 /// max-heap [`BinaryHeap`] pops the earliest event first.
@@ -176,6 +177,16 @@ impl Sim {
     /// Schedule `action` at absolute time `at`. Scheduling in the past is a
     /// logic error in the calling component.
     pub fn schedule_at(&mut self, at: SimTime, action: impl FnOnce(&mut Sim) + 'static) {
+        self.schedule_boxed_at(at, Box::new(action));
+    }
+
+    /// Schedule an already boxed `action` at absolute time `at`, without
+    /// boxing it again. A component that builds its completion at
+    /// submission and queues it (the [`Cpu`](crate::Cpu) and
+    /// [`SerialResource`](crate::SerialResource) work queues) hands that
+    /// box over here when the work starts, so the event costs one
+    /// allocation, not two.
+    pub fn schedule_boxed_at(&mut self, at: SimTime, action: Action) {
         assert!(
             at >= self.now,
             "event scheduled in the past: {} < {}",
@@ -188,7 +199,7 @@ impl Sim {
         self.queue.push(Event {
             time: at,
             seq,
-            action: Box::new(action),
+            action,
         });
     }
 

@@ -43,7 +43,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use catalog::{MetricId, MetricKind, StageId};
-pub use engine::{ActionArm, EngineProbe, Sim};
+pub use engine::{Action, ActionArm, EngineProbe, Sim};
 pub use metrics::{LogHistogram, Metrics};
 pub use resource::{Cpu, CpuClass, SerialResource};
 pub use rng::SimRng;

@@ -14,13 +14,28 @@
 //! Both keep busy-time accounting so experiments can report CPU utilisation,
 //! which the paper repeatedly leans on ("90 % of peak at 15–20 % CPU on Fast
 //! Ethernet would need ~100 % on GbE").
+//!
+//! # One allocation per work item
+//!
+//! A work item's whole completion (busy accounting, the caller's `done`,
+//! then starting the next queued item) is boxed once, when the work is
+//! submitted. The queue holds that box, and when the item reaches the
+//! head of the line the same box becomes the engine event through
+//! [`Sim::schedule_boxed_at`]. The completion is scheduled at the same
+//! instant and from the same call point as a freshly boxed event would
+//! be, so `(time, seq)` and every result are unchanged.
+//!
+//! The completion holds a strong reference to its resource, so an item
+//! still queued when a run is abandoned keeps the resource alive (as a
+//! queued `done` that captures its owner already does). A run that drains
+//! its event queue leaves no queued work behind.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::engine::Sim;
-use crate::time::{SimDuration, SimTime};
+use crate::engine::{Action, Sim};
+use crate::time::SimDuration;
 
 /// Priority class of CPU work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,18 +46,18 @@ pub enum CpuClass {
     Task,
 }
 
-struct CpuWork {
-    class: CpuClass,
+/// A queued work item: its service time and its boxed completion.
+struct Work {
     duration: SimDuration,
-    done: Box<dyn FnOnce(&mut Sim)>,
+    completion: Action,
 }
 
 /// A single processor serving two FIFO queues (IRQ before task),
 /// non-preemptive within a work item.
 pub struct Cpu {
     busy: bool,
-    irq_q: VecDeque<CpuWork>,
-    task_q: VecDeque<CpuWork>,
+    irq_q: VecDeque<Work>,
+    task_q: VecDeque<Work>,
     busy_irq: SimDuration,
     busy_task: SimDuration,
     items_run: u64,
@@ -73,12 +88,27 @@ impl Cpu {
         duration: SimDuration,
         done: impl FnOnce(&mut Sim) + 'static,
     ) {
+        let cpu2 = cpu.clone();
+        let completion: Action = Box::new(move |sim: &mut Sim| {
+            {
+                let mut c = cpu2.borrow_mut();
+                match class {
+                    CpuClass::Irq => c.busy_irq += duration,
+                    CpuClass::Task => c.busy_task += duration,
+                }
+                c.items_run += 1;
+            }
+            // The completion may submit more work; the CPU still reads as
+            // busy so it lands on the queue rather than double-starting.
+            done(sim);
+            cpu2.borrow_mut().busy = false;
+            Self::start_next(&cpu2, sim);
+        });
         {
             let mut c = cpu.borrow_mut();
-            let work = CpuWork {
-                class,
+            let work = Work {
                 duration,
-                done: Box::new(done),
+                completion,
             };
             match class {
                 CpuClass::Irq => c.irq_q.push_back(work),
@@ -103,22 +133,7 @@ impl Cpu {
             c.busy = true;
             work
         };
-        let cpu2 = cpu.clone();
-        sim.schedule_in(work.duration, move |sim| {
-            {
-                let mut c = cpu2.borrow_mut();
-                match work.class {
-                    CpuClass::Irq => c.busy_irq += work.duration,
-                    CpuClass::Task => c.busy_task += work.duration,
-                }
-                c.items_run += 1;
-            }
-            // The completion may submit more work; the CPU still reads as
-            // busy so it lands on the queue rather than double-starting.
-            (work.done)(sim);
-            cpu2.borrow_mut().busy = false;
-            Self::start_next(&cpu2, sim);
-        });
+        sim.schedule_boxed_at(sim.now() + work.duration, work.completion);
     }
 
     /// Accumulated busy time for a class.
@@ -153,20 +168,14 @@ impl Cpu {
     }
 }
 
-struct SerialWork {
-    duration: SimDuration,
-    done: Box<dyn FnOnce(&mut Sim)>,
-}
-
 /// A FIFO resource with a single transaction in flight (a bus).
 pub struct SerialResource {
     name: &'static str,
     busy: bool,
-    queue: VecDeque<SerialWork>,
+    queue: VecDeque<Work>,
     busy_time: SimDuration,
     items: u64,
     max_queue: usize,
-    last_free: SimTime,
 }
 
 impl SerialResource {
@@ -179,7 +188,6 @@ impl SerialResource {
             busy_time: SimDuration::ZERO,
             items: 0,
             max_queue: 0,
-            last_free: SimTime::ZERO,
         }))
     }
 
@@ -190,11 +198,22 @@ impl SerialResource {
         duration: SimDuration,
         done: impl FnOnce(&mut Sim) + 'static,
     ) {
+        let res2 = res.clone();
+        let completion: Action = Box::new(move |sim: &mut Sim| {
+            {
+                let mut r = res2.borrow_mut();
+                r.busy_time += duration;
+                r.items += 1;
+            }
+            done(sim);
+            res2.borrow_mut().busy = false;
+            Self::start_next(&res2, sim);
+        });
         {
             let mut r = res.borrow_mut();
-            r.queue.push_back(SerialWork {
+            r.queue.push_back(Work {
                 duration,
-                done: Box::new(done),
+                completion,
             });
             r.max_queue = r.max_queue.max(r.queue.len());
             if r.busy {
@@ -214,18 +233,7 @@ impl SerialResource {
             r.busy = true;
             work
         };
-        let res2 = res.clone();
-        sim.schedule_in(work.duration, move |sim| {
-            {
-                let mut r = res2.borrow_mut();
-                r.busy_time += work.duration;
-                r.items += 1;
-                r.last_free = sim.now();
-            }
-            (work.done)(sim);
-            res2.borrow_mut().busy = false;
-            Self::start_next(&res2, sim);
-        });
+        sim.schedule_boxed_at(sim.now() + work.duration, work.completion);
     }
 
     /// Accumulated busy time.
@@ -255,6 +263,7 @@ impl SerialResource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimTime;
     use std::cell::RefCell;
     use std::rc::Rc;
 

@@ -233,7 +233,9 @@ mod schedule_model {
 
     /// Schedule one event at `at`. When it runs it logs itself and, while
     /// `depth` lasts, schedules `children` follow-ups: even-numbered ones
-    /// at zero delay, odd-numbered ones `delay` later.
+    /// at zero delay, odd-numbered ones `delay` later. Bit `id % 64` of
+    /// `boxed` picks the entry point, so `schedule_at` and
+    /// `schedule_boxed_at` calls interleave.
     fn schedule(
         sim: &mut Sim,
         log: &Rc<RefCell<Log>>,
@@ -241,6 +243,7 @@ mod schedule_model {
         depth: u8,
         children: u8,
         delay: u64,
+        boxed: u64,
     ) {
         let id = {
             let mut l = log.borrow_mut();
@@ -249,16 +252,21 @@ mod schedule_model {
             id
         };
         let log = log.clone();
-        sim.schedule_at(at, move |s| {
+        let action = move |s: &mut Sim| {
             log.borrow_mut().executed.push((s.now().as_ns(), id));
             if depth > 0 {
                 for i in 0..children {
                     let d = if i % 2 == 0 { 0 } else { delay };
                     let at = s.now() + SimDuration::from_ns(d);
-                    schedule(s, &log, at, depth - 1, children, delay);
+                    schedule(s, &log, at, depth - 1, children, delay, boxed);
                 }
             }
-        });
+        };
+        if (boxed >> (id % 64)) & 1 == 1 {
+            sim.schedule_boxed_at(at, Box::new(action));
+        } else {
+            sim.schedule_at(at, action);
+        }
     }
 
     proptest! {
@@ -267,9 +275,12 @@ mod schedule_model {
         /// cover same-instant ties, handlers that schedule zero-delay and
         /// short follow-ups, far-future events, and `run_until` horizon
         /// stops followed by new `schedule_at`s before the run resumes.
+        /// Events enter through `schedule_at` and `schedule_boxed_at` in an
+        /// arbitrary interleaving, and both keep the one order.
         #[test]
         fn execution_matches_stable_sort(
-            ops in proptest::collection::vec((0u8..6, 0u64..2048, 0u8..4, 0u64..4096), 1..120)
+            ops in proptest::collection::vec((0u8..6, 0u64..2048, 0u8..4, 0u64..4096), 1..120),
+            boxed in any::<u64>()
         ) {
             let mut sim = Sim::new(0);
             let log = Rc::new(RefCell::new(Log::default()));
@@ -277,16 +288,16 @@ mod schedule_model {
                 let now = sim.now();
                 match kind {
                     // A tie with the current instant.
-                    0 => schedule(&mut sim, &log, now, 2, children, delay),
+                    0 => schedule(&mut sim, &log, now, 2, children, delay, boxed),
                     // A near event whose handler spawns short follow-ups.
                     1 | 2 => {
                         let at = now + SimDuration::from_ns(off);
-                        schedule(&mut sim, &log, at, 2, children, delay % 64);
+                        schedule(&mut sim, &log, at, 2, children, delay % 64, boxed);
                     }
                     // A far-future event that spawns far-future follow-ups.
                     3 => {
                         let at = now + SimDuration::from_ns(FAR_NS + off * 31);
-                        schedule(&mut sim, &log, at, 1, children, FAR_NS + delay);
+                        schedule(&mut sim, &log, at, 1, children, FAR_NS + delay, boxed);
                     }
                     // Stop at a horizon; later ops schedule into the gap
                     // between the stop and the events still pending.
@@ -310,6 +321,234 @@ mod schedule_model {
             prop_assert_eq!(&log.executed, &expect);
             prop_assert_eq!(sim.events_executed(), expect.len() as u64);
             prop_assert_eq!(sim.events_pending(), 0);
+        }
+    }
+}
+
+mod resource_model {
+    use clic_sim::{Cpu, CpuClass, SerialResource, Sim, SimDuration, SimTime};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
+    /// One generated work item.
+    #[derive(Clone, Copy, Debug)]
+    struct Item {
+        irq: bool,
+        dur_ns: u64,
+        /// `None`: submitted at top level at `at_ns`. `Some(p)`: submitted
+        /// by item `p`'s completion (always an earlier item).
+        parent: Option<usize>,
+        at_ns: u64,
+    }
+
+    /// Decode generated `(class, duration, parent, time)` tuples. A third
+    /// of the items are IRQ work, a fifth take zero time, half are
+    /// submitted from inside an earlier item's completion, and top-level
+    /// times sit on a coarse grid so that arrivals tie with each other and
+    /// with completions.
+    fn decode(raw: &[(u8, u64, usize, u64)]) -> Vec<Item> {
+        raw.iter()
+            .enumerate()
+            .map(|(k, &(class, dur, back, at))| Item {
+                irq: class == 0,
+                dur_ns: if dur < 8 { 0 } else { dur },
+                parent: (back > 2 && back - 2 <= k).then(|| k - (back - 2)),
+                at_ns: at * 5,
+            })
+            .collect()
+    }
+
+    fn children(items: &[Item], p: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..items.len()).filter(move |&k| items[k].parent == Some(p))
+    }
+
+    /// What a resource did, or what the reference model says it must do.
+    #[derive(Debug, Default, PartialEq)]
+    struct Outcome {
+        /// `(item, completion time)` in completion order.
+        completions: Vec<(usize, u64)>,
+        busy_irq_ns: u64,
+        busy_task_ns: u64,
+        max_queue: usize,
+    }
+
+    /// The reference model's wait queues.
+    struct Queues<'a> {
+        items: &'a [Item],
+        classes: bool,
+        irq: VecDeque<usize>,
+        task: VecDeque<usize>,
+    }
+
+    impl Queues<'_> {
+        /// Queue item `k`; returns the combined depth.
+        fn push(&mut self, k: usize) -> usize {
+            if self.classes && self.items[k].irq {
+                self.irq.push_back(k);
+            } else {
+                self.task.push_back(k);
+            }
+            self.irq.len() + self.task.len()
+        }
+
+        /// Start the next item at `now`: `(item, completion time)`.
+        fn start(&mut self, now: u64) -> Option<(usize, u64)> {
+            let k = self.irq.pop_front().or_else(|| self.task.pop_front())?;
+            Some((k, now + self.items[k].dur_ns))
+        }
+    }
+
+    /// The plain reference: one server, never preempted, the IRQ queue
+    /// served before the task queue (with `classes`; otherwise one FIFO),
+    /// FIFO within a queue. Every top-level submission is scheduled before
+    /// the run starts, so at one instant the top-level arrivals come
+    /// before a completion. A completion submits its children first, then
+    /// the server starts its next item.
+    fn model(items: &[Item], classes: bool) -> Outcome {
+        let mut arrivals: Vec<usize> = (0..items.len())
+            .filter(|&k| items[k].parent.is_none())
+            .collect();
+        arrivals.sort_by_key(|&k| items[k].at_ns);
+        let mut q = Queues {
+            items,
+            classes,
+            irq: VecDeque::new(),
+            task: VecDeque::new(),
+        };
+        let mut out = Outcome::default();
+        let mut running: Option<(usize, u64)> = None;
+        let mut next = 0;
+        loop {
+            let arrival = arrivals.get(next).map(|&k| (k, items[k].at_ns));
+            match (running, arrival) {
+                (Some((k, end)), _) if arrival.is_none_or(|(_, at)| end < at) => {
+                    out.completions.push((k, end));
+                    if classes && items[k].irq {
+                        out.busy_irq_ns += items[k].dur_ns;
+                    } else {
+                        out.busy_task_ns += items[k].dur_ns;
+                    }
+                    for c in children(items, k) {
+                        out.max_queue = out.max_queue.max(q.push(c));
+                    }
+                    running = q.start(end);
+                }
+                (_, Some((k, at))) => {
+                    next += 1;
+                    out.max_queue = out.max_queue.max(q.push(k));
+                    if running.is_none() {
+                        running = q.start(at);
+                    }
+                }
+                _ => return out,
+            }
+        }
+    }
+
+    #[derive(Clone)]
+    enum Target {
+        Cpu(Rc<RefCell<Cpu>>),
+        Bus(Rc<RefCell<SerialResource>>),
+    }
+
+    #[derive(Clone)]
+    struct Run {
+        target: Target,
+        items: Rc<Vec<Item>>,
+        log: Rc<RefCell<Vec<(usize, u64)>>>,
+    }
+
+    /// Submit item `k`; its completion logs it and submits its children.
+    fn submit(run: &Run, sim: &mut Sim, k: usize) {
+        let item = run.items[k];
+        let r = run.clone();
+        let done = move |s: &mut Sim| {
+            r.log.borrow_mut().push((k, s.now().as_ns()));
+            for c in children(&r.items, k) {
+                submit(&r, s, c);
+            }
+        };
+        let duration = SimDuration::from_ns(item.dur_ns);
+        match &run.target {
+            Target::Cpu(cpu) => {
+                let class = if item.irq {
+                    CpuClass::Irq
+                } else {
+                    CpuClass::Task
+                };
+                Cpu::run(cpu, sim, class, duration, done);
+            }
+            Target::Bus(bus) => SerialResource::acquire(bus, sim, duration, done),
+        }
+    }
+
+    /// Run every item on `target` and report what it did.
+    fn simulate(items: Vec<Item>, target: Target) -> Outcome {
+        let mut sim = Sim::new(0);
+        let run = Run {
+            target: target.clone(),
+            items: Rc::new(items),
+            log: Rc::new(RefCell::new(Vec::new())),
+        };
+        for k in 0..run.items.len() {
+            if run.items[k].parent.is_none() {
+                let r = run.clone();
+                sim.schedule_at(SimTime::from_ns(run.items[k].at_ns), move |s| {
+                    submit(&r, s, k)
+                });
+            }
+        }
+        sim.run();
+        let completions = run.log.borrow().clone();
+        match target {
+            Target::Cpu(cpu) => {
+                let c = cpu.borrow();
+                assert_eq!(c.items_run(), run.items.len() as u64);
+                Outcome {
+                    completions,
+                    busy_irq_ns: c.busy_time(CpuClass::Irq).as_ns(),
+                    busy_task_ns: c.busy_time(CpuClass::Task).as_ns(),
+                    max_queue: c.max_queue_depth(),
+                }
+            }
+            Target::Bus(bus) => {
+                let b = bus.borrow();
+                assert_eq!(b.items(), run.items.len() as u64);
+                Outcome {
+                    completions,
+                    busy_irq_ns: 0,
+                    busy_task_ns: b.busy_time().as_ns(),
+                    max_queue: b.max_queue_depth(),
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// A `Cpu` completes every item at the time and in the order of
+        /// the reference model, with the model's busy time per class,
+        /// item count and queue high-water mark, for work submitted at
+        /// top level and from inside completions, zero-duration work
+        /// included.
+        #[test]
+        fn cpu_matches_reference_model(
+            raw in proptest::collection::vec((0u8..3, 0u64..40, 0usize..6, 0u64..60), 1..80)
+        ) {
+            let items = decode(&raw);
+            let expect = model(&items, true);
+            prop_assert_eq!(simulate(items, Target::Cpu(Cpu::new())), expect);
+        }
+
+        /// The same for a `SerialResource`: one FIFO queue, classes ignored.
+        #[test]
+        fn serial_resource_matches_reference_model(
+            raw in proptest::collection::vec((0u8..3, 0u64..40, 0usize..6, 0u64..60), 1..80)
+        ) {
+            let items = decode(&raw);
+            let expect = model(&items, false);
+            prop_assert_eq!(simulate(items, Target::Bus(SerialResource::new("bus"))), expect);
         }
     }
 }
