@@ -156,3 +156,48 @@ fn fig7_job_metrics_identical_for_jobs_1_and_4() {
         assert!(a.get("m.peak_switch_queue_depth").is_some());
     }
 }
+
+/// The `figures trace --metrics` dumps pinned byte for byte: one per
+/// traced pipeline scenario (MTU 1500, seed 0) plus the 8-node NIC
+/// barrier. File name, then the dump of that run.
+fn metrics_dumps() -> Vec<(&'static str, String)> {
+    let pipe = |s, size| run_pipeline_trace(s, size, 1500, 0).metrics.dump();
+    vec![
+        ("fig7a_1400_metrics.txt", pipe(TraceScenario::Fig7a, 1400)),
+        ("fig7b_1400_metrics.txt", pipe(TraceScenario::Fig7b, 1400)),
+        (
+            "fig7a_lossy_14000_metrics.txt",
+            pipe(TraceScenario::Fig7aLossy, 14_000),
+        ),
+        ("tcp_1400_metrics.txt", pipe(TraceScenario::Tcp, 1400)),
+        (
+            "coll_barrier_8_metrics.txt",
+            run_collective_trace(8, 0).metrics.dump(),
+        ),
+    ]
+}
+
+fn golden_path(name: &str) -> String {
+    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+#[test]
+fn metrics_dumps_match_golden_files() {
+    for (name, dump) in metrics_dumps() {
+        let want = std::fs::read_to_string(golden_path(name)).expect("read golden");
+        assert_eq!(
+            dump, want,
+            "metrics dump {name} changed; if intentional, regenerate with \
+             `cargo test -p clic-bench --test trace regenerate_metrics_goldens -- --ignored`"
+        );
+    }
+}
+
+/// Regenerates the metrics-dump golden files in place.
+#[test]
+#[ignore = "writes the golden files; run only to regenerate them"]
+fn regenerate_metrics_goldens() {
+    for (name, dump) in metrics_dumps() {
+        std::fs::write(golden_path(name), dump).expect("write golden");
+    }
+}
