@@ -4,7 +4,7 @@
 //! `rule`, `file`, `line`, `message`, `suggestion`, and `path` — the call
 //! chain from an analysis root to the offending site. Per-site rules
 //! (lexical lints, manifest lints) have an empty `path`; the call-graph
-//! families (`determinism-taint`, `panic-reach`, `unreachable-name`)
+//! families (`determinism-taint`, `panic-reach`)
 //! populate it so a violation is actionable without re-running the
 //! analysis: the chain names every function between the public surface
 //! and the sink.

@@ -1,5 +1,4 @@
-//! Call-graph rule families: determinism taint, panic reachability, and
-//! catalog liveness.
+//! Call-graph rule families: determinism taint and panic reachability.
 //!
 //! These rules answer questions a per-site lexical lint cannot: not "does
 //! this line read the wall clock" but "can a simulation entry point
@@ -20,18 +19,10 @@
 //!   discipline plus the golden tests make blanket indexing reports more
 //!   noise than signal, but the machinery is exercised in tests and can
 //!   be turned on for an audit pass.
-//! * `unreachable-name` — a catalog name whose recording sites all sit in
-//!   code unreachable from the job entry points (public items of
-//!   `clic-cluster` / `clic-bench`, plus any `fn main`). Distinct from
-//!   `dead-name`: the recorder *exists* but nothing can ever run it.
 
-use crate::catalog::{strip_node_prefix, Catalog, Kind};
 use crate::graph::{path_to, reach, Graph};
-use crate::rules::{
-    policy, METRIC_CALLS, METRIC_ID_CALLS, NO_UNWRAP_CRATES, OBS_INFRA_FILES, SIM_CRATES,
-    STAGE_CALLS, STAGE_ID_CALL,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::rules::{policy, NO_UNWRAP_CRATES, SIM_CRATES};
+use std::collections::BTreeSet;
 
 /// Options for the graph rule pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -66,16 +57,11 @@ pub struct Finding {
 /// `bytes`), and the analyzer is a host tool outside the simulation.
 const PANIC_EXEMPT_CRATES: &[&str] = &["shim-bytes", "shim-proptest", "analyze"];
 
-/// Crates whose public items are the job entry points for the
-/// `unreachable-name` liveness pass.
-const ENTRY_CRATES: &[&str] = &["bench", "cluster"];
-
 /// Run every graph rule; findings are sorted by (file, line, rule).
-pub fn run(g: &Graph, catalog: &Catalog, pol: &FlowPolicy) -> Vec<Finding> {
+pub fn run(g: &Graph, pol: FlowPolicy) -> Vec<Finding> {
     let mut out = Vec::new();
     determinism_taint(g, &mut out);
-    panic_reach(g, *pol, &mut out);
-    unreachable_names(g, catalog, &mut out);
+    panic_reach(g, pol, &mut out);
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
@@ -164,109 +150,9 @@ fn panic_reach(g: &Graph, pol: FlowPolicy, out: &mut Vec<Finding>) {
     }
 }
 
-/// `unreachable-name`: catalog entries whose recording sites all sit in
-/// code no job entry point can reach.
-fn unreachable_names(g: &Graph, catalog: &Catalog, out: &mut Vec<Finding>) {
-    let mut roots = pub_roots(g, ENTRY_CRATES);
-    roots.extend(
-        g.items
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| !it.is_test && it.name == "main")
-            .map(|(id, _)| id),
-    );
-    let parent = reach(g, &roots);
-
-    // (name, kind) → recording item ids; stage name → recording item ids.
-    let mut metric_rec: BTreeMap<(String, Kind), Vec<usize>> = BTreeMap::new();
-    let mut stage_rec: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (id, it) in g.items.iter().enumerate() {
-        if it.is_test || OBS_INFRA_FILES.contains(&it.file.as_str()) {
-            continue;
-        }
-        for c in &it.calls {
-            let Some(lit) = &c.first_str else { continue };
-            let metric_kind = if c.method {
-                METRIC_CALLS
-                    .iter()
-                    .find(|(m, _)| *m == c.name)
-                    .map(|&(_, k)| k)
-            } else {
-                METRIC_ID_CALLS
-                    .iter()
-                    .find(|(m, _)| *m == c.name)
-                    .map(|&(_, k)| k)
-            };
-            if let Some(kind) = metric_kind {
-                let name = strip_node_prefix(lit).to_string();
-                metric_rec.entry((name, kind)).or_default().push(id);
-            } else if (c.method && STAGE_CALLS.contains(&c.name.as_str()))
-                || (!c.method && c.name == STAGE_ID_CALL)
-            {
-                stage_rec.entry(lit.clone()).or_default().push(id);
-            }
-        }
-    }
-
-    let orphaned = |ids: &[usize]| ids.iter().all(|&id| parent[id].is_none());
-    for e in &catalog.metrics {
-        let Some(kind) = e.kind else { continue };
-        let Some(ids) = metric_rec.get(&(e.name.clone(), kind)) else {
-            continue; // never recorded at all: that is `dead-name`'s case
-        };
-        if orphaned(ids) {
-            out.push(orphan_finding(
-                g,
-                e.line,
-                format!(
-                    "metric `{}` ({}) is recorded only by code unreachable from job entry points",
-                    e.name,
-                    kind.name()
-                ),
-                ids,
-            ));
-        }
-    }
-    for e in &catalog.stages {
-        let Some(ids) = stage_rec.get(&e.name) else {
-            continue;
-        };
-        if orphaned(ids) {
-            out.push(orphan_finding(
-                g,
-                e.line,
-                format!(
-                    "stage `{}` is emitted only by code unreachable from job entry points",
-                    e.name
-                ),
-                ids,
-            ));
-        }
-    }
-}
-
-/// Build an `unreachable-name` finding anchored at a catalog entry line;
-/// the "path" lists the orphaned recording items.
-fn orphan_finding(g: &Graph, line: u32, message: String, ids: &[usize]) -> Finding {
-    let mut recorders: Vec<String> = ids.iter().map(|&id| g.items[id].qualified()).collect();
-    recorders.sort();
-    recorders.dedup();
-    Finding {
-        rule: "unreachable-name",
-        file: "crates/sim/src/catalog.rs".to_string(),
-        line,
-        message,
-        suggestion: "wire the recorder into a job/experiment (entry points: pub items of \
-                     clic-cluster/clic-bench, fn main) or remove the catalog entry"
-            .to_string(),
-        path: recorders,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::parse as parse_catalog;
     use crate::graph::build;
     use crate::workspace::{Manifest, SourceFile, Workspace};
 
@@ -304,7 +190,7 @@ mod tests {
                 "pub fn host_elapsed_ms() -> u64 { std::time::Instant::now(); 0 }\n",
             ),
         ]));
-        let f = run(&g, &Catalog::default(), &FlowPolicy::default());
+        let f = run(&g, FlowPolicy::default());
         let taint: Vec<_> = f.iter().filter(|x| x.rule == "determinism-taint").collect();
         assert_eq!(taint.len(), 1, "{f:?}");
         assert_eq!(taint[0].file, "crates/shim-bytes/src/lib.rs");
@@ -331,49 +217,18 @@ mod tests {
             ),
         ];
         let g = build(&ws(files));
-        let quiet = run(&g, &Catalog::default(), &FlowPolicy::default());
+        let quiet = run(&g, FlowPolicy::default());
         let hits: Vec<_> = quiet.iter().filter(|x| x.rule == "panic-reach").collect();
         assert_eq!(hits.len(), 1, "{quiet:?}");
         assert!(hits[0].message.contains(".expect()"));
         assert_eq!(hits[0].path[0], "core::post");
         assert_eq!(*hits[0].path.last().unwrap(), "os::Kernel::deliver");
 
-        let loud = run(&g, &Catalog::default(), &FlowPolicy { check_index: true });
+        let loud = run(&g, FlowPolicy { check_index: true });
         assert_eq!(
             loud.iter().filter(|x| x.rule == "panic-reach").count(),
             2,
             "indexing sink appears under check_index"
         );
-    }
-
-    #[test]
-    fn unreachable_recorder_is_flagged_reachable_one_is_not() {
-        let catalog = parse_catalog(
-            "pub const METRICS: &[M] = &[\n\
-             M { name: \"clic.live\", kind: C, help: \"\" },\n\
-             M { name: \"clic.orphan\", kind: C, help: \"\" },\n\
-             ];\n\
-             pub const STAGES: &[S] = &[];\n",
-        )
-        .unwrap();
-        let g = build(&ws(vec![
-            (
-                "crates/cluster/src/jobs.rs",
-                "cluster",
-                "pub fn run_job(m: &Metrics) { record_live(m); }\n",
-            ),
-            (
-                "crates/hw/src/nic.rs",
-                "hw",
-                "pub fn record_live(m: &Metrics) { m.counter_inc(\"clic.live\", 1); }\n\
-                 fn record_orphan(m: &Metrics) { m.counter_inc(\"clic.orphan\", 1); }\n",
-            ),
-        ]));
-        let f = run(&g, &catalog, &FlowPolicy::default());
-        let un: Vec<_> = f.iter().filter(|x| x.rule == "unreachable-name").collect();
-        assert_eq!(un.len(), 1, "{f:?}");
-        assert!(un[0].message.contains("clic.orphan"));
-        assert_eq!(un[0].file, "crates/sim/src/catalog.rs");
-        assert_eq!(un[0].path, vec!["hw::record_orphan"]);
     }
 }

@@ -90,9 +90,6 @@ pub struct CallSite {
     pub arity: usize,
     /// 1-based source line.
     pub line: u32,
-    /// First string literal among the arguments (metric/stage name
-    /// extraction for the liveness pass).
-    pub first_str: Option<String>,
 }
 
 /// A bare identifier in argument position that may name a function
@@ -563,17 +560,12 @@ fn scan_body(lx: &Lexed, from: usize, to: usize, owner: Option<&str>, item: &mut
                         continue;
                     };
                     let (arity, _) = param_shape(lx, i + 1, close);
-                    let first_str = toks[i + 2..close].iter().find_map(|t| match &t.kind {
-                        TokKind::Str(s) => Some(s.clone()),
-                        _ => None,
-                    });
                     item.calls.push(CallSite {
                         name: name.clone(),
                         qualifier,
                         method,
                         arity,
                         line,
-                        first_str,
                     });
                 } else {
                     // Bare reference in argument position: `(tick)` or

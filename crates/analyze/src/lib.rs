@@ -14,13 +14,12 @@
 //! ([`rules::check_manifest`] enforces exactly that).
 //!
 //! Pipeline: [`workspace::discover`] enumerates library sources and
-//! manifests → [`catalog::parse`] re-reads the observability catalog from
-//! source → [`rules::analyze`] applies the per-crate policy table per
+//! manifests → [`rules::analyze`] applies the per-crate policy table per
 //! file, then [`items::parse_items`] splits every file into function
 //! items, [`graph`] resolves their calls conservatively into a
 //! workspace call graph (filtered by the crate-dependency DAG), and
 //! [`flow`] walks it for the reachability families (determinism taint,
-//! panic reach, catalog liveness) — each finding carrying its full
+//! panic reach) — each finding carrying its full
 //! root→sink call chain — before everything settles against the allow
 //! annotations and renders via [`diag::render_human`] /
 //! [`diag::render_json`]. `--graph` exports the call graph as DOT.
@@ -36,7 +35,6 @@
 #![allow(clippy::must_use_candidate, clippy::missing_errors_doc)]
 
 pub mod allow;
-pub mod catalog;
 pub mod diag;
 pub mod flow;
 pub mod graph;

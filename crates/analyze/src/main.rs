@@ -1,7 +1,7 @@
 //! Command-line entry point for `clic-analyze`.
 //!
 //! ```text
-//! clic-analyze [--root <dir>] [--json] [--list-rules] [--catalog]
+//! clic-analyze [--root <dir>] [--json] [--list-rules]
 //!              [--graph <out.dot>] [--include-tests]
 //! ```
 //!
@@ -11,12 +11,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use clic_analyze::catalog;
 use clic_analyze::diag::{render_human, render_json};
 use clic_analyze::graph;
 use clic_analyze::rules::{analyze_workspace, RULES};
@@ -28,13 +26,12 @@ fn emit(text: &str) {
     let _ = std::io::stdout().write_all(text.as_bytes());
 }
 
-const USAGE: &str = "usage: clic-analyze [--root <dir>] [--json] [--list-rules] [--catalog]
+const USAGE: &str = "usage: clic-analyze [--root <dir>] [--json] [--list-rules]
                     [--graph <out.dot>] [--include-tests]
 
   --root <dir>      workspace to analyze (default: walk up from cwd)
   --json            machine-readable output
   --list-rules      print the rule set and exit
-  --catalog         print the parsed observability catalog and exit
   --graph <out>     also write the workspace call graph as DOT (layered
                     by crate) to <out>
   --include-tests   scan integration-test sources too, under the relaxed
@@ -44,7 +41,6 @@ const USAGE: &str = "usage: clic-analyze [--root <dir>] [--json] [--list-rules] 
 fn main() -> ExitCode {
     let mut json = false;
     let mut list_rules = false;
-    let mut show_catalog = false;
     let mut include_tests = false;
     let mut graph_out: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
@@ -54,7 +50,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--list-rules" => list_rules = true,
-            "--catalog" => show_catalog = true,
             "--include-tests" => include_tests = true,
             "--graph" => {
                 let Some(out) = args.next() else {
@@ -99,10 +94,6 @@ fn main() -> ExitCode {
         r
     };
 
-    if show_catalog {
-        return print_catalog(&root);
-    }
-
     let ws = match discover_with(&root, include_tests) {
         Ok(ws) => ws,
         Err(e) => {
@@ -128,39 +119,5 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-fn print_catalog(root: &std::path::Path) -> ExitCode {
-    let path = root.join("crates/sim/src/catalog.rs");
-    let src = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("clic-analyze: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    match catalog::parse(&src) {
-        Ok(c) => {
-            let mut out = format!("# metrics ({})\n", c.metrics.len());
-            for e in &c.metrics {
-                let _ = writeln!(
-                    out,
-                    "{:<40} {}",
-                    e.name,
-                    e.kind.map_or("?", catalog::Kind::name)
-                );
-            }
-            let _ = writeln!(out, "# stages ({})", c.stages.len());
-            for e in &c.stages {
-                let _ = writeln!(out, "{}", e.name);
-            }
-            emit(&out);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("clic-analyze: {e}");
-            ExitCode::from(2)
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The lint rules and the analysis driver.
 //!
-//! Four per-site rule families plus the dependency lint, scoped by a
+//! Three per-site rule families plus the dependency lint, scoped by a
 //! per-crate policy table (see [`policy`]):
 //!
 //! * **determinism** — `wall-clock`, `ad-hoc-rng`, `unordered-collection`:
@@ -11,11 +11,6 @@
 //!   narrowing `as` casts on time/sequence-typed values in simulation
 //!   crates, where a silent wrap corrupts the event order instead of
 //!   crashing;
-//! * **observability names** — `metric-name`, `stage-name`, `dead-name`,
-//!   `catalog-dup`, `catalog-order`, `catalog-parse`: every name literal
-//!   recorded into the metrics registry or trace sink must be registered
-//!   in `crates/sim/src/catalog.rs`, and every catalog entry must be
-//!   recorded somewhere;
 //! * **API hygiene** — `no-unwrap`, `crate-header`: no
 //!   `unwrap()`/`expect()`/`panic!` in non-test library code of the
 //!   protocol crates, and every library crate carries
@@ -26,8 +21,7 @@
 //!
 //! On top of the per-site rules, [`analyze_workspace`] builds the
 //! workspace call graph ([`crate::graph`]) and runs the flow families
-//! ([`crate::flow`]): `determinism-taint`, `panic-reach`,
-//! `unreachable-name`. Their findings carry a root→sink call path and are
+//! ([`crate::flow`]): `determinism-taint` and `panic-reach`. Their findings carry a root→sink call path and are
 //! filtered against the same `lint:allow` annotations as everything else
 //! — allow bookkeeping is centralized here precisely because a graph
 //! finding in file A can be suppressed by an annotation in file A while
@@ -37,13 +31,12 @@
 //! on (or directly above) the offending line; see [`crate::allow`].
 
 use crate::allow;
-use crate::catalog::{parse as parse_catalog, strip_node_prefix, Catalog, Kind};
 use crate::diag::Diag;
 use crate::flow;
 use crate::graph;
 use crate::lexer::{lex, Lexed, TokKind};
 use crate::workspace::{discover, Manifest, SourceFile, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
@@ -73,25 +66,6 @@ pub const RULES: &[(&str, &str)] = &[
         "panic-reach",
         "no panic site reachable from core/ethernet/sim public API",
     ),
-    (
-        "unreachable-name",
-        "catalog names must be recorded by code reachable from job entry points",
-    ),
-    (
-        "metric-name",
-        "metric name literals must be registered in crates/sim/src/catalog.rs",
-    ),
-    (
-        "stage-name",
-        "trace stage literals must be registered in crates/sim/src/catalog.rs",
-    ),
-    (
-        "dead-name",
-        "catalog entries must be recorded somewhere in library code",
-    ),
-    ("catalog-dup", "catalog entries must be unique"),
-    ("catalog-order", "catalog tables must be sorted by name"),
-    ("catalog-parse", "the catalog must exist and parse"),
     (
         "no-unwrap",
         "no unwrap()/expect()/panic! in non-test core/ethernet/sim library code",
@@ -124,20 +98,6 @@ pub const SIM_CRATES: &[&str] = &[
 /// Crates under the `no-unwrap` hygiene rule.
 pub const NO_UNWRAP_CRATES: &[&str] = &["core", "ethernet", "sim"];
 
-/// Crates exempt from the observability-name rules: dependency stand-ins
-/// (their string literals model foreign APIs) and the analyzer itself
-/// (its literals are rule data).
-pub const NAME_EXEMPT_CRATES: &[&str] = &["shim-bytes", "shim-proptest", "analyze"];
-
-/// Files that define the observability machinery: name literals inside
-/// them are API docs/tests, not recordings.
-pub const OBS_INFRA_FILES: &[&str] = &[
-    "crates/sim/src/metrics.rs",
-    "crates/sim/src/trace.rs",
-    "crates/sim/src/catalog.rs",
-    "crates/sim/src/timeseries.rs",
-];
-
 /// Per-crate rule applicability. `bench` legitimately reads the host
 /// clock (it measures real elapsed time); only simulation crates must
 /// stay virtual-time-pure.
@@ -149,8 +109,6 @@ pub struct Policy {
     pub determinism: bool,
     /// `time-overflow` applies.
     pub overflow: bool,
-    /// `metric-name` / `stage-name` extraction applies.
-    pub names: bool,
     /// `no-unwrap` applies.
     pub no_unwrap: bool,
 }
@@ -160,7 +118,6 @@ pub fn policy(crate_name: &str) -> Policy {
     Policy {
         determinism: SIM_CRATES.contains(&crate_name),
         overflow: SIM_CRATES.contains(&crate_name),
-        names: !NAME_EXEMPT_CRATES.contains(&crate_name),
         no_unwrap: NO_UNWRAP_CRATES.contains(&crate_name),
     }
 }
@@ -168,13 +125,12 @@ pub fn policy(crate_name: &str) -> Policy {
 /// The relaxed policy row for integration-test sources (scanned only
 /// under `--include-tests`): the determinism rules still apply — a test
 /// that reads the wall clock can mask nondeterminism in what it asserts —
-/// but name registration, panic hygiene and overflow style are test-local
+/// but panic hygiene and overflow style are test-local
 /// concerns the workspace gate does not impose.
 pub fn policy_test(crate_name: &str) -> Policy {
     Policy {
         determinism: SIM_CRATES.contains(&crate_name) || crate_name == "clic",
         overflow: false,
-        names: false,
         no_unwrap: false,
     }
 }
@@ -186,16 +142,6 @@ pub struct Report {
     pub diags: Vec<Diag>,
     /// Number of files scanned (sources + manifests).
     pub files_scanned: usize,
-}
-
-/// Observability-name usage accumulated across files, for the dead-name
-/// check.
-#[derive(Debug, Default)]
-pub struct Usage {
-    /// `(name, kind)` pairs recorded or read anywhere in library code.
-    pub metrics: BTreeSet<(String, Kind)>,
-    /// Stage names emitted anywhere in library code.
-    pub stages: BTreeSet<String>,
 }
 
 /// Run the full analysis over the workspace at `root`.
@@ -217,41 +163,6 @@ struct AllowState {
 /// Run the full analysis over an already-discovered workspace.
 pub fn analyze_workspace(ws: &Workspace) -> Report {
     let mut diags = Vec::new();
-    let mut usage = Usage::default();
-
-    // The catalog.
-    let found = ws
-        .files
-        .iter()
-        .find(|f| f.rel == "crates/sim/src/catalog.rs");
-    let catalog = if let Some(f) = found {
-        match parse_catalog(&f.text) {
-            Ok(c) => {
-                diags.extend(check_catalog(&c));
-                c
-            }
-            Err(e) => {
-                diags.push(Diag::site(
-                    "catalog-parse",
-                    f.rel.clone(),
-                    0,
-                    e,
-                    "keep METRICS/STAGES as arrays of struct literals whose first string \
-                     literal is the name",
-                ));
-                Catalog::default()
-            }
-        }
-    } else {
-        diags.push(Diag::site(
-            "catalog-parse",
-            "crates/sim/src/catalog.rs",
-            0,
-            "observability catalog not found",
-            "create crates/sim/src/catalog.rs with METRICS and STAGES tables",
-        ));
-        Catalog::default()
-    };
 
     // Per-site pass: candidates per file, allow state retained.
     let mut states: Vec<AllowState> = Vec::with_capacity(ws.files.len());
@@ -259,7 +170,7 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
     for f in &ws.files {
         let lexed = lex(&f.text);
         let allows = allow::parse(&lexed.comments);
-        let cands = file_candidates(f, &lexed, &catalog, &mut usage);
+        let cands = file_candidates(f, &lexed);
         let si = states.len();
         states.push(AllowState {
             rel: f.rel.clone(),
@@ -281,7 +192,7 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
         .enumerate()
         .map(|(i, s)| (s.rel.as_str(), i))
         .collect();
-    for f in flow::run(&g, &catalog, &flow::FlowPolicy::default()) {
+    for f in flow::run(&g, flow::FlowPolicy::default()) {
         let d =
             Diag::site(f.rule, f.file.clone(), f.line, f.message, f.suggestion).with_path(f.path);
         match by_rel.get(f.file.as_str()) {
@@ -301,11 +212,6 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
         diags.extend(allow_meta(&st.rel, &st.allows, &st.used));
     }
 
-    // Dead catalog entries.
-    if !catalog.metrics.is_empty() {
-        diags.extend(check_dead_names(&catalog, &usage));
-    }
-
     // Manifests.
     for m in &ws.manifests {
         diags.extend(check_manifest(m));
@@ -316,97 +222,6 @@ pub fn analyze_workspace(ws: &Workspace) -> Report {
         files_scanned: ws.files.len() + ws.manifests.len(),
         diags,
     }
-}
-
-/// Catalog self-checks: duplicates and ordering.
-pub fn check_catalog(c: &Catalog) -> Vec<Diag> {
-    let mut diags = Vec::new();
-    let file = "crates/sim/src/catalog.rs";
-    let mut seen: BTreeSet<(String, Option<Kind>)> = BTreeSet::new();
-    for e in &c.metrics {
-        if !seen.insert((e.name.clone(), e.kind)) {
-            diags.push(Diag::site(
-                "catalog-dup",
-                file,
-                e.line,
-                format!(
-                    "metric `{}` ({}) registered more than once",
-                    e.name,
-                    e.kind.map_or("?", Kind::name)
-                ),
-                "remove the duplicate entry",
-            ));
-        }
-    }
-    let mut seen_stages: BTreeSet<String> = BTreeSet::new();
-    for e in &c.stages {
-        if !seen_stages.insert(e.name.clone()) {
-            diags.push(Diag::site(
-                "catalog-dup",
-                file,
-                e.line,
-                format!("stage `{}` registered more than once", e.name),
-                "remove the duplicate entry",
-            ));
-        }
-    }
-    for w in c.metrics.windows(2) {
-        if (&w[0].name, w[0].kind) > (&w[1].name, w[1].kind) {
-            diags.push(Diag::site(
-                "catalog-order",
-                file,
-                w[1].line,
-                format!("METRICS not sorted: `{}` after `{}`", w[1].name, w[0].name),
-                "keep the table sorted by (name, kind) so diffs stay one-line",
-            ));
-        }
-    }
-    for w in c.stages.windows(2) {
-        if w[0].name > w[1].name {
-            diags.push(Diag::site(
-                "catalog-order",
-                file,
-                w[1].line,
-                format!("STAGES not sorted: `{}` after `{}`", w[1].name, w[0].name),
-                "keep the table sorted by name so diffs stay one-line",
-            ));
-        }
-    }
-    diags
-}
-
-/// Catalog entries never recorded anywhere in library code.
-pub fn check_dead_names(catalog: &Catalog, usage: &Usage) -> Vec<Diag> {
-    let mut diags = Vec::new();
-    let file = "crates/sim/src/catalog.rs";
-    for e in &catalog.metrics {
-        let Some(kind) = e.kind else { continue };
-        if !usage.metrics.contains(&(e.name.clone(), kind)) {
-            diags.push(Diag::site(
-                "dead-name",
-                file,
-                e.line,
-                format!(
-                    "metric `{}` ({}) is registered but never recorded or read",
-                    e.name,
-                    kind.name()
-                ),
-                "record it somewhere or remove the catalog entry",
-            ));
-        }
-    }
-    for e in &catalog.stages {
-        if !usage.stages.contains(&e.name) {
-            diags.push(Diag::site(
-                "dead-name",
-                file,
-                e.line,
-                format!("stage `{}` is registered but never emitted", e.name),
-                "emit it somewhere or remove the catalog entry",
-            ));
-        }
-    }
-    diags
 }
 
 /// A candidate violation before allow-annotation filtering.
@@ -421,10 +236,10 @@ struct Candidate {
 /// entry point used by fixture tests. [`analyze_workspace`] uses the same
 /// candidate generation but settles allows centrally so graph findings
 /// participate too.
-pub fn check_file(f: &SourceFile, catalog: &Catalog, usage: &mut Usage) -> Vec<Diag> {
+pub fn check_file(f: &SourceFile) -> Vec<Diag> {
     let lexed = lex(&f.text);
     let allows = allow::parse(&lexed.comments);
-    let cands = file_candidates(f, &lexed, catalog, usage);
+    let cands = file_candidates(f, &lexed);
     let mut used = vec![false; allows.ok.len()];
     let mut diags = Vec::new();
     for c in cands {
@@ -446,12 +261,7 @@ pub fn check_file(f: &SourceFile, catalog: &Catalog, usage: &mut Usage) -> Vec<D
 /// `#[cfg(test)]` regions (integration-test sources skip that filter: the
 /// whole file is test code and the relaxed [`policy_test`] row is what
 /// applies).
-fn file_candidates(
-    f: &SourceFile,
-    lexed: &Lexed,
-    catalog: &Catalog,
-    usage: &mut Usage,
-) -> Vec<Candidate> {
+fn file_candidates(f: &SourceFile, lexed: &Lexed) -> Vec<Candidate> {
     let pol = if f.is_test_source {
         policy_test(&f.crate_name)
     } else {
@@ -468,9 +278,6 @@ fn file_candidates(
     }
     if pol.overflow {
         time_overflow(lexed, &mut cands);
-    }
-    if pol.names && !OBS_INFRA_FILES.contains(&f.rel.as_str()) {
-        observability_names(lexed, catalog, usage, &in_test, &mut cands);
     }
     if pol.no_unwrap {
         no_unwrap(lexed, &mut cands);
@@ -813,128 +620,6 @@ fn in_use_of(lexed: &Lexed, i: usize, segment: &str) -> bool {
     lexed.toks[j..i]
         .iter()
         .any(|t| matches!(&t.kind, TokKind::Ident(s) if s == segment))
-}
-
-/// Metric-recording and trace-emitting method calls: `(method, kind)`.
-pub(crate) const METRIC_CALLS: &[(&str, Kind)] = &[
-    ("counter", Kind::Counter),
-    ("counter_add", Kind::Counter),
-    ("counter_inc", Kind::Counter),
-    ("sum_counters", Kind::Counter),
-    ("gauge", Kind::Gauge),
-    ("gauge_peak", Kind::Gauge),
-    ("gauge_set", Kind::Gauge),
-    ("max_gauge_peak", Kind::Gauge),
-    ("histogram", Kind::Histogram),
-    ("observe", Kind::Histogram),
-    // Timeline series lookups take catalog names too: a series that
-    // cannot resolve through the catalog is unreadable, so the linter
-    // treats these like the metric read APIs above.
-    ("counter_series", Kind::Counter),
-    ("gauge_series", Kind::Gauge),
-];
-
-/// Trace-emission methods whose first string literal is a stage name.
-pub(crate) const STAGE_CALLS: &[&str] = &["begin", "end", "instant"];
-
-/// Compile-time interning resolvers from `clic_sim::catalog`: free
-/// functions (called as `counter_id("...")` or `catalog::counter_id(...)`)
-/// whose string literal names a catalog entry of the given kind. A call
-/// counts as a recording for the dead-name pass — the returned id is what
-/// the hot path feeds to the `_id` metric APIs.
-pub(crate) const METRIC_ID_CALLS: &[(&str, Kind)] = &[
-    ("counter_id", Kind::Counter),
-    ("gauge_id", Kind::Gauge),
-    ("histogram_id", Kind::Histogram),
-];
-
-/// Stage-id resolver from `clic_sim::catalog` (see [`METRIC_ID_CALLS`]).
-pub(crate) const STAGE_ID_CALL: &str = "stage_id";
-
-/// `metric-name` / `stage-name`: extract every name literal passed to a
-/// recording call and check it against the catalog. Usage is accumulated
-/// for the dead-name pass (test code counts toward neither rule).
-fn observability_names(
-    lexed: &Lexed,
-    catalog: &Catalog,
-    usage: &mut Usage,
-    in_test: &dyn Fn(u32) -> bool,
-    cands: &mut Vec<Candidate>,
-) {
-    for (i, t) in lexed.toks.iter().enumerate() {
-        let TokKind::Ident(name) = &t.kind else {
-            continue;
-        };
-        if !lexed.is_punct(i + 1, '(') {
-            continue;
-        }
-        // Method-call shape (`.counter_inc(`) or interning-resolver shape
-        // (`counter_id(` — a free function, so NOT preceded by `.`, which
-        // also keeps `fn counter_id(` definitions out via OBS_INFRA_FILES
-        // and the literal requirement below).
-        let is_method = i >= 1 && lexed.is_punct(i - 1, '.');
-        let (metric_kind, is_stage) = if is_method {
-            (
-                METRIC_CALLS
-                    .iter()
-                    .find(|(m, _)| m == name)
-                    .map(|&(_, k)| k),
-                STAGE_CALLS.contains(&name.as_str()),
-            )
-        } else {
-            (
-                METRIC_ID_CALLS
-                    .iter()
-                    .find(|(m, _)| m == name)
-                    .map(|&(_, k)| k),
-                name == STAGE_ID_CALL,
-            )
-        };
-        if metric_kind.is_none() && !is_stage {
-            continue;
-        }
-        let Some(close) = matching(lexed, i + 1, '(', ')') else {
-            continue;
-        };
-        let Some(lit) = lexed.toks[i + 2..close].iter().find_map(|t| match &t.kind {
-            TokKind::Str(s) => Some(s.clone()),
-            _ => None,
-        }) else {
-            continue;
-        };
-        if in_test(t.line) {
-            continue;
-        }
-        if let Some(kind) = metric_kind {
-            let stripped = strip_node_prefix(&lit).to_string();
-            usage.metrics.insert((stripped.clone(), kind));
-            if !catalog.has_metric(&stripped, kind) {
-                cands.push(Candidate {
-                    rule: "metric-name",
-                    line: t.line,
-                    message: format!(
-                        "metric name `{lit}` ({}) is not registered in the catalog",
-                        kind.name()
-                    ),
-                    suggestion: "add it to METRICS in crates/sim/src/catalog.rs (sorted) with a \
-                                 help string"
-                        .to_string(),
-                });
-            }
-        } else {
-            usage.stages.insert(lit.clone());
-            if !catalog.has_stage(&lit) {
-                cands.push(Candidate {
-                    rule: "stage-name",
-                    line: t.line,
-                    message: format!("trace stage `{lit}` is not registered in the catalog"),
-                    suggestion: "add it to STAGES in crates/sim/src/catalog.rs (sorted) with its \
-                                 emitting layer"
-                        .to_string(),
-                });
-            }
-        }
-    }
 }
 
 /// `no-unwrap`: `.unwrap()`, `.expect(...)`, `panic!` in library code.

@@ -1,9 +1,5 @@
-//! Graph fixture: panicking helper plus an orphaned metric recorder.
+//! Graph fixture: a panicking helper.
 
 pub fn slot_lookup(tbl: &Table) -> u32 {
     tbl.slot().unwrap()
-}
-
-fn orphan_probe(m: &Metrics) {
-    m.counter("clic.msgs_sent", 1);
 }

@@ -6,27 +6,12 @@
 //! analyzer over this workspace and requires it to be clean, so `cargo
 //! test -q` fails the moment a violation lands on the main branch.
 
-use clic_analyze::catalog::{parse as parse_catalog, Catalog};
 use clic_analyze::diag::render_json_diag;
 use clic_analyze::rules::{analyze, analyze_workspace, check_file, check_manifest, RULES};
 use clic_analyze::workspace::{find_root, Manifest, SourceFile, Workspace};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::path::PathBuf;
-
-/// A miniature catalog: one registered counter, one registered stage.
-const CATALOG_SRC: &str = r#"
-pub const METRICS: &[MetricDef] = &[
-    MetricDef { name: "clic.msgs_sent", kind: C, help: "sent" },
-];
-pub const STAGES: &[StageDef] = &[
-    StageDef { name: "driver_tx", layers: &[Layer::Clic], help: "tx" },
-];
-"#;
-
-fn catalog() -> Catalog {
-    parse_catalog(CATALOG_SRC).expect("fixture catalog parses")
-}
 
 /// Run `check_file` on a fixture as if it lived inside the `sim` crate.
 fn run(rel_name: &str, text: &str, is_lib_root: bool) -> Vec<clic_analyze::Diag> {
@@ -37,8 +22,7 @@ fn run(rel_name: &str, text: &str, is_lib_root: bool) -> Vec<clic_analyze::Diag>
         is_test_source: false,
         text: text.to_string(),
     };
-    let mut usage = clic_analyze::rules::Usage::default();
-    check_file(&f, &catalog(), &mut usage)
+    check_file(&f)
 }
 
 fn rules_fired(diags: &[clic_analyze::Diag]) -> BTreeSet<&'static str> {
@@ -66,26 +50,6 @@ fn determinism_fixture_fires_all_three_rules() {
             .count()
             >= 2
     );
-}
-
-#[test]
-fn name_fixture_flags_only_unregistered_names() {
-    let diags = run("names.rs", include_str!("fixtures/names.rs"), false);
-    let metric: Vec<_> = diags.iter().filter(|d| d.rule == "metric-name").collect();
-    let stage: Vec<_> = diags.iter().filter(|d| d.rule == "stage-name").collect();
-    assert_eq!(metric.len(), 3, "{diags:?}");
-    assert!(metric.iter().any(|d| d.message.contains("not.registered")));
-    assert!(metric
-        .iter()
-        .any(|d| d.message.contains("interned.not.registered")));
-    assert_eq!(stage.len(), 2, "{diags:?}");
-    assert!(stage.iter().any(|d| d.message.contains("bogus_stage")));
-    assert!(stage
-        .iter()
-        .any(|d| d.message.contains("interned_bogus_stage")));
-    // Registered names pass (string and interned-resolver shapes).
-    assert!(!diags.iter().any(|d| d.message.contains("clic.msgs_sent")));
-    assert!(!diags.iter().any(|d| d.message.contains("driver_tx")));
 }
 
 #[test]
@@ -148,7 +112,6 @@ fn fixture_suite_exercises_at_least_six_rules() {
     let mut fired: BTreeSet<&'static str> = BTreeSet::new();
     for (name, text) in [
         ("determinism.rs", include_str!("fixtures/determinism.rs")),
-        ("names.rs", include_str!("fixtures/names.rs")),
         ("hygiene.rs", include_str!("fixtures/hygiene.rs")),
         ("allows.rs", include_str!("fixtures/allows.rs")),
     ] {
@@ -178,11 +141,9 @@ fn fixture_suite_exercises_at_least_six_rules() {
 
 /// A synthetic workspace wiring the graph fixtures into a miniature CLIC:
 /// `sim` public APIs call into a wall-clock shim and a panicking `hw`
-/// helper, `hw` also holds an orphaned metric recorder, and `bench` is the
-/// only job entry point. Every call-graph rule family must fire on it.
+/// helper. Every call-graph rule family must fire on it.
 fn graph_workspace() -> Workspace {
     let files = [
-        ("crates/sim/src/catalog.rs", "sim", CATALOG_SRC),
         (
             "crates/sim/src/api_fix.rs",
             "sim",
@@ -197,11 +158,6 @@ fn graph_workspace() -> Workspace {
             "crates/hw/src/sink_fix.rs",
             "hw",
             include_str!("fixtures/graph/hw_sink.rs"),
-        ),
-        (
-            "crates/bench/src/entry_fix.rs",
-            "bench",
-            include_str!("fixtures/graph/bench_entry.rs"),
         ),
     ];
     Workspace {
@@ -259,27 +215,13 @@ fn panic_reach_fixture_fails_the_analyzer_with_the_chain() {
     assert!(d.message.contains("`.unwrap()`"), "{d:?}");
 }
 
-#[test]
-fn liveness_fixture_fails_the_analyzer_at_the_catalog_entry() {
-    let d = graph_diag("unreachable-name");
-    assert_eq!(d.file, "crates/sim/src/catalog.rs");
-    assert_eq!(d.line, 3);
-    assert_eq!(d.path, vec!["hw::orphan_probe"]);
-    assert!(d.message.contains("clic.msgs_sent"), "{d:?}");
-}
-
 /// Golden JSON for one diagnostic per call-graph family: the schema
 /// (`rule`, `file`, `line`, `message`, `path`, `suggestion`) must stay
 /// identical across families, with `path` populated root-first.
 #[test]
 fn json_schema_is_identical_across_rule_families() {
     let report = analyze_workspace(&graph_workspace());
-    let families = [
-        "determinism-taint",
-        "time-overflow",
-        "panic-reach",
-        "unreachable-name",
-    ];
+    let families = ["determinism-taint", "time-overflow", "panic-reach"];
     for rule in families {
         let d = report
             .diags

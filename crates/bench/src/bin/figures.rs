@@ -175,8 +175,8 @@ fn run_trace(args: &[String]) {
                 _ => die("--size needs a positive byte count"),
             },
             "--mtu" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => mtu = n,
-                None => die("--mtu needs a byte count"),
+                Some(n) if (128..=9_000).contains(&n) => mtu = n,
+                _ => die("--mtu needs a byte count in 128..=9000"),
             },
             "--seed" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(n) => seed = n,

@@ -165,3 +165,19 @@ fn timeline_smoke_covers_every_scenario() {
         );
     }
 }
+
+#[test]
+fn trace_cli_rejects_an_out_of_range_mtu() {
+    // A bad --mtu is a usage error (exit 2), like every other bad flag,
+    // not a panic inside the traced run.
+    for mtu in ["100", "20000", "x"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["trace", "--mtu", mtu])
+            .output()
+            .expect("figures trace runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "--mtu {mtu}: {stderr}");
+        assert!(stderr.contains("128..=9000"), "--mtu {mtu}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--mtu {mtu}: {stderr}");
+    }
+}

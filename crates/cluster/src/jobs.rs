@@ -16,6 +16,13 @@ use crate::workload::{
     ping_pong, request_reply_cycles, request_reply_cycles_with_background, stream, stream_count,
     stream_pipelined, StackKind,
 };
+use clic_sim::catalog::{
+    CLIC_DROPS_BACKLOG, CLIC_DROPS_DUPLICATE, CLIC_DROPS_EXPIRED, CLIC_DROPS_OOO,
+    CLIC_DROPS_STALE_EPOCH, CLIC_ECN_ECHOES, CLIC_RECV_BUFFER_BYTES, CLIC_RETRANSMITS,
+    ETH_LINK_FRAMES_LOST, ETH_SWITCH_DROPS, ETH_SWITCH_ECN_MARKS, ETH_SWITCH_QUEUE_DEPTH,
+    HW_NIC_COLL_MSGS_RX, HW_NIC_RX_FCS_ERRORS, HW_NIC_RX_NO_BUFFER, TCP_FAST_RETRANSMITS,
+    TCP_RETRANSMITS,
+};
 use clic_sim::{EngineProbe, Sim, SimDuration};
 use std::sync::Mutex;
 
@@ -297,30 +304,27 @@ fn job_sim(seed: u64) -> Sim {
 /// switch output-queue depth. Zero-valued when the run had no such events
 /// (or, for the queue depth, no switch), so the schema is stable.
 fn push_metric_totals(m: &mut Measurement, sim: &Sim) {
-    let drops = sim.metrics.sum_counters("clic.drops.backlog")
-        + sim.metrics.sum_counters("clic.drops.duplicate")
-        + sim.metrics.sum_counters("clic.drops.ooo")
-        + sim.metrics.sum_counters("eth.switch.drops")
-        + sim.metrics.sum_counters("eth.link.frames_lost")
-        + sim.metrics.sum_counters("hw.nic.rx_no_buffer")
-        + sim.metrics.sum_counters("hw.nic.rx_fcs_errors");
-    let retransmits = sim.metrics.sum_counters("clic.retransmits")
-        + sim.metrics.sum_counters("tcp.retransmits")
-        + sim.metrics.sum_counters("tcp.fast_retransmits");
+    let drops = sim.metrics.count(CLIC_DROPS_BACKLOG)
+        + sim.metrics.count(CLIC_DROPS_DUPLICATE)
+        + sim.metrics.count(CLIC_DROPS_OOO)
+        + sim.metrics.count(ETH_SWITCH_DROPS)
+        + sim.metrics.count(ETH_LINK_FRAMES_LOST)
+        + sim.metrics.count(HW_NIC_RX_NO_BUFFER)
+        + sim.metrics.count(HW_NIC_RX_FCS_ERRORS);
+    let retransmits = sim.metrics.count(CLIC_RETRANSMITS)
+        + sim.metrics.count(TCP_RETRANSMITS)
+        + sim.metrics.count(TCP_FAST_RETRANSMITS);
     m.push("m.drops", drops as f64);
     m.push("m.retransmits", retransmits as f64);
     m.push(
         "m.peak_switch_queue_depth",
-        sim.metrics.max_gauge_peak("eth.switch.queue_depth") as f64,
+        sim.metrics.peak(ETH_SWITCH_QUEUE_DEPTH) as f64,
     );
     m.push(
         "m.ecn_marks",
-        sim.metrics.sum_counters("eth.switch.ecn_marks") as f64,
+        sim.metrics.count(ETH_SWITCH_ECN_MARKS) as f64,
     );
-    m.push(
-        "m.ecn_echoes",
-        sim.metrics.sum_counters("clic.ecn_echoes") as f64,
-    );
+    m.push("m.ecn_echoes", sim.metrics.count(CLIC_ECN_ECHOES) as f64);
     m.push("m.events", sim.events_executed() as f64);
 }
 
@@ -563,11 +567,11 @@ fn run_chaos(
     m.push("last_delivery_us", out.last_delivery.as_us_f64());
     m.push(
         "stale_epoch_drops",
-        sim.metrics.sum_counters("clic.drops.stale_epoch") as f64,
+        sim.metrics.count(CLIC_DROPS_STALE_EPOCH) as f64,
     );
     m.push(
         "expired_drops",
-        sim.metrics.sum_counters("clic.drops.expired") as f64,
+        sim.metrics.count(CLIC_DROPS_EXPIRED) as f64,
     );
     push_metric_totals(&mut m, &sim);
     m
@@ -596,8 +600,7 @@ fn run_incast(
     m.push("p99_us", us(out.completion.percentile(0.99)));
     // The peak is the larger of the workload's per-delivery samples and
     // the gauge the module updates at every ACK.
-    let peak =
-        (out.peak_buffered_bytes as i64).max(sim.metrics.max_gauge_peak("clic.recv_buffer_bytes"));
+    let peak = (out.peak_buffered_bytes as u64).max(sim.metrics.peak(CLIC_RECV_BUFFER_BYTES));
     m.push("peak_buffered_bytes", peak as f64);
     m.push("elapsed_us", out.elapsed.as_us_f64());
     // Receiver goodput over the whole incast: delivered payload bits per
@@ -625,10 +628,7 @@ fn run_scale_collective(config: &ClusterConfig, offload: bool, seed: u64) -> Mea
         m.push("trunks", fabric.trunk_count() as f64);
         m.push("flood_pruned", fabric.total_flood_pruned() as f64);
     }
-    m.push(
-        "coll_msgs",
-        sim.metrics.sum_counters("hw.nic.coll.msgs_rx") as f64,
-    );
+    m.push("coll_msgs", sim.metrics.count(HW_NIC_COLL_MSGS_RX) as f64);
     m.push(
         "host_irqs",
         cluster

@@ -15,6 +15,18 @@ use crate::experiments::{
 };
 use crate::workload::{chaos_clic, incast_clic, request_reply_cycles, ChaosPlan, StackKind};
 use bytes::Bytes;
+use clic_sim::catalog::{
+    CLIC_DROPS_BACKLOG, CLIC_DROPS_DUPLICATE, CLIC_DROPS_EXPIRED, CLIC_DROPS_OOO,
+    CLIC_DROPS_STALE_EPOCH, CLIC_FAST_RETRANSMITS, CLIC_FLOW_FAILURES,
+    CLIC_FLOW_FAILURES_MAX_RETRIES, CLIC_FLOW_FAILURES_PEER_DEAD, CLIC_FLOW_FAILURES_STALE_EPOCH,
+    CLIC_KEEPALIVE_PROBES, CLIC_MSGS_RECEIVED, CLIC_MSGS_SENT, CLIC_PACKETS_RECEIVED,
+    CLIC_PACKETS_SENT, CLIC_RETRANSMITS, CLIC_STAGED_COPIES, ETH_SWITCH_FRAMES_DROPPED,
+    ETH_SWITCH_FRAMES_FLOODED, ETH_SWITCH_FRAMES_FORWARDED, HW_NIC_IRQS, HW_NIC_RX_FCS_ERRORS,
+    HW_NIC_RX_FRAMES, HW_NIC_RX_NO_BUFFER, HW_NIC_TX_FRAMES, HW_NIC_TX_RING_FULL, OS_BOTTOM_HALVES,
+    OS_CONTEXT_SWITCHES, OS_FRAMES_RECEIVED, OS_IRQS, OS_LIGHTWEIGHT_CALLS, OS_SYSCALLS,
+    SIM_POOL_ALLOC_MISSES, SIM_POOL_DISCARDED, SIM_POOL_OVERSIZE, SIM_POOL_RECYCLED,
+    SIM_POOL_RETURNED,
+};
 use clic_sim::{Metrics, Sim, SimDuration, StageSpan, TimelineRecorder};
 use clic_tcpip::TcpStack;
 
@@ -200,11 +212,6 @@ pub fn run_pipeline_trace(
         .trace
         .spans_for(TRACE_ID)
         .expect("traced run left unmatched begin/end marks");
-    debug_assert!(
-        sim.trace.uncataloged_stages().is_empty(),
-        "stages missing from crates/sim/src/catalog.rs: {:?}",
-        sim.trace.uncataloged_stages()
-    );
     let breakdown = breakdown_rows(&spans);
     let metrics = collect_metrics(&cluster, &sim);
     PipelineTrace {
@@ -482,81 +489,70 @@ pub fn breakdown_table(rows: &[BreakdownRow]) -> String {
     out
 }
 
-/// Merge the simulation's live metrics with per-node counter snapshots
-/// (kernel, NIC and CLIC stats under an `n{id}.` prefix, switch counters
-/// under `eth.switch.`), yielding one registry whose [`Metrics::dump`]
-/// is the `--metrics` report.
+/// The simulation's live metrics plus per-node counter snapshots
+/// (kernel, NIC and CLIC stats, listed as `n{id}.<name>`), the star
+/// switch's lifetime counters and the packet-buffer pool traffic: one
+/// registry whose [`Metrics::dump`] is the `--metrics` report.
 pub fn collect_metrics(cluster: &Cluster, sim: &Sim) -> Metrics {
-    let mut reg = Metrics::enabled();
-    reg.merge(&sim.metrics);
+    let mut reg = if sim.metrics.is_enabled() {
+        sim.metrics.clone()
+    } else {
+        Metrics::enabled()
+    };
     for node in &cluster.nodes {
-        let p = |name: &str| format!("n{}.{name}", node.id);
+        let mut add = |m, v| reg.record_node(m, node.id, v);
         let kernel = node.kernel.borrow();
         let ks = kernel.stats();
-        reg.counter_add(&p("os.syscalls"), ks.syscalls);
-        reg.counter_add(&p("os.lightweight_calls"), ks.lightweight_calls);
-        reg.counter_add(&p("os.irqs"), ks.irqs);
-        reg.counter_add(&p("os.bottom_halves"), ks.bhs);
-        reg.counter_add(&p("os.context_switches"), ks.context_switches);
-        reg.counter_add(&p("os.frames_received"), ks.frames_received);
+        add(OS_SYSCALLS, ks.syscalls);
+        add(OS_LIGHTWEIGHT_CALLS, ks.lightweight_calls);
+        add(OS_IRQS, ks.irqs);
+        add(OS_BOTTOM_HALVES, ks.bhs);
+        add(OS_CONTEXT_SWITCHES, ks.context_switches);
+        add(OS_FRAMES_RECEIVED, ks.frames_received);
         for dev in 0..kernel.device_count() {
             let ns = kernel.device(dev).borrow().stats();
-            reg.counter_add(&p("hw.nic.tx_frames"), ns.tx_frames);
-            reg.counter_add(&p("hw.nic.rx_frames"), ns.rx_frames);
-            reg.counter_add(&p("hw.nic.tx_ring_full"), ns.tx_ring_full);
-            reg.counter_add(&p("hw.nic.rx_no_buffer"), ns.rx_no_buffer);
-            reg.counter_add(&p("hw.nic.rx_fcs_errors"), ns.rx_fcs_errors);
-            reg.counter_add(&p("hw.nic.irqs"), ns.irqs);
+            add(HW_NIC_TX_FRAMES, ns.tx_frames);
+            add(HW_NIC_RX_FRAMES, ns.rx_frames);
+            add(HW_NIC_TX_RING_FULL, ns.tx_ring_full);
+            add(HW_NIC_RX_NO_BUFFER, ns.rx_no_buffer);
+            add(HW_NIC_RX_FCS_ERRORS, ns.rx_fcs_errors);
+            add(HW_NIC_IRQS, ns.irqs);
         }
         drop(kernel);
         if let Some(clic) = &node.clic {
             let cs = clic.borrow().stats();
-            reg.counter_add(&p("clic.msgs_sent"), cs.msgs_sent);
-            reg.counter_add(&p("clic.msgs_received"), cs.msgs_received);
-            reg.counter_add(&p("clic.packets_sent"), cs.packets_sent);
-            reg.counter_add(&p("clic.packets_received"), cs.packets_received);
-            reg.counter_add(&p("clic.retransmits"), cs.retransmits);
-            reg.counter_add(&p("clic.fast_retransmits"), cs.fast_retransmits);
-            reg.counter_add(&p("clic.flow_failures"), cs.flow_failures);
-            reg.counter_add(&p("clic.staged_copies"), cs.staged_copies);
-            reg.counter_add(&p("clic.drops.backlog"), cs.backlog_drops);
-            reg.counter_add(&p("clic.drops.duplicate"), cs.duplicates);
-            reg.counter_add(&p("clic.drops.ooo"), cs.ooo_drops);
-            reg.counter_add(&p("clic.drops.stale_epoch"), cs.stale_epoch_drops);
-            reg.counter_add(&p("clic.drops.expired"), cs.expired_drops);
-            reg.counter_add(
-                &p("clic.flow_failures.max_retries"),
-                cs.flow_failures_max_retries,
-            );
-            reg.counter_add(
-                &p("clic.flow_failures.peer_dead"),
-                cs.flow_failures_peer_dead,
-            );
-            reg.counter_add(
-                &p("clic.flow_failures.stale_epoch"),
-                cs.flow_failures_stale_epoch,
-            );
-            reg.counter_add(&p("clic.keepalive_probes"), cs.keepalive_probes);
+            add(CLIC_MSGS_SENT, cs.msgs_sent);
+            add(CLIC_MSGS_RECEIVED, cs.msgs_received);
+            add(CLIC_PACKETS_SENT, cs.packets_sent);
+            add(CLIC_PACKETS_RECEIVED, cs.packets_received);
+            add(CLIC_RETRANSMITS, cs.retransmits);
+            add(CLIC_FAST_RETRANSMITS, cs.fast_retransmits);
+            add(CLIC_FLOW_FAILURES, cs.flow_failures);
+            add(CLIC_STAGED_COPIES, cs.staged_copies);
+            add(CLIC_DROPS_BACKLOG, cs.backlog_drops);
+            add(CLIC_DROPS_DUPLICATE, cs.duplicates);
+            add(CLIC_DROPS_OOO, cs.ooo_drops);
+            add(CLIC_DROPS_STALE_EPOCH, cs.stale_epoch_drops);
+            add(CLIC_DROPS_EXPIRED, cs.expired_drops);
+            add(CLIC_FLOW_FAILURES_MAX_RETRIES, cs.flow_failures_max_retries);
+            add(CLIC_FLOW_FAILURES_PEER_DEAD, cs.flow_failures_peer_dead);
+            add(CLIC_FLOW_FAILURES_STALE_EPOCH, cs.flow_failures_stale_epoch);
+            add(CLIC_KEEPALIVE_PROBES, cs.keepalive_probes);
         }
     }
     if let Some(sw) = &cluster.switch {
         let sw = sw.borrow();
-        reg.counter_add("eth.switch.frames_forwarded", sw.frames_forwarded());
-        reg.counter_add("eth.switch.frames_flooded", sw.frames_flooded());
-        reg.counter_add("eth.switch.frames_dropped", sw.frames_dropped());
+        reg.record(ETH_SWITCH_FRAMES_FORWARDED, sw.frames_forwarded());
+        reg.record(ETH_SWITCH_FRAMES_FLOODED, sw.frames_flooded());
+        reg.record(ETH_SWITCH_FRAMES_DROPPED, sw.frames_dropped());
     }
     // Packet-buffer pool traffic since the run's `bytes::pool::reset()`.
     let ps = bytes::pool::stats();
-    reg.counter_add("sim.pool.recycled", ps.recycled);
-    reg.counter_add("sim.pool.alloc_misses", ps.misses);
-    reg.counter_add("sim.pool.returned", ps.returned);
-    reg.counter_add("sim.pool.discarded", ps.discarded);
-    reg.counter_add("sim.pool.oversize", ps.oversize);
-    debug_assert!(
-        reg.uncataloged().is_empty(),
-        "metrics missing from crates/sim/src/catalog.rs: {:?}",
-        reg.uncataloged()
-    );
+    reg.record(SIM_POOL_RECYCLED, ps.recycled);
+    reg.record(SIM_POOL_ALLOC_MISSES, ps.misses);
+    reg.record(SIM_POOL_RETURNED, ps.returned);
+    reg.record(SIM_POOL_DISCARDED, ps.discarded);
+    reg.record(SIM_POOL_OVERSIZE, ps.oversize);
     reg
 }
 

@@ -28,32 +28,20 @@ use bytes::{BufMut, Bytes, BytesMut};
 use clic_ethernet::{EtherType, Frame, MacAddr, RoundRobin};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, Pid, SkBuff};
-use clic_sim::catalog::{counter_id, gauge_id, histogram_id};
-use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
+use clic_sim::catalog::{
+    CLIC_CWND, CLIC_DROPS_BACKLOG, CLIC_DROPS_DUPLICATE, CLIC_DROPS_EXPIRED, CLIC_DROPS_OOO,
+    CLIC_DROPS_STALE_EPOCH, CLIC_ECN_ECHOES, CLIC_EFFECTIVE_WINDOW, CLIC_FAST_RETRANSMITS,
+    CLIC_FLOW_FAILURES, CLIC_FLOW_FAILURES_MAX_RETRIES, CLIC_FLOW_FAILURES_PEER_DEAD,
+    CLIC_FLOW_FAILURES_STALE_EPOCH, CLIC_INFLIGHT_BYTES, CLIC_KEEPALIVE_PROBES, CLIC_MODULE_RX,
+    CLIC_MODULE_TX, CLIC_MSG_BYTES, CLIC_RECV_BUFFER_BYTES, CLIC_RETRANSMITS, CLIC_RTTVAR,
+    CLIC_SSTHRESH, CLIC_STAGED_COPIES, COPY_TO_USER, DROP_BACKLOG, DROP_DUPLICATE, DROP_EXPIRED,
+    DROP_OOO, DROP_STALE_EPOCH, ECN_ECHO, FAST_RETRANSMIT_CLIC, FLOW_FAIL, KEEPALIVE, RTO_CLIC,
+    STAGED_COPY, SYSCALL,
+};
+use clic_sim::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
-
-/// Interned metric ids — the CLIC data path records per message/packet,
-/// so names are resolved against the catalog at compile time.
-const M_MSG_BYTES: MetricId = histogram_id("clic.msg_bytes");
-const M_STAGED_COPIES: MetricId = counter_id("clic.staged_copies");
-const M_FLOW_FAILURES: MetricId = counter_id("clic.flow_failures");
-const M_KEEPALIVE_PROBES: MetricId = counter_id("clic.keepalive_probes");
-const M_DROPS_EXPIRED: MetricId = counter_id("clic.drops.expired");
-const M_RTTVAR: MetricId = histogram_id("clic.rttvar");
-const M_FAST_RETRANSMITS: MetricId = counter_id("clic.fast_retransmits");
-const M_RETRANSMITS: MetricId = counter_id("clic.retransmits");
-const M_DROPS_STALE_EPOCH: MetricId = counter_id("clic.drops.stale_epoch");
-const M_DROPS_BACKLOG: MetricId = counter_id("clic.drops.backlog");
-const M_DROPS_DUPLICATE: MetricId = counter_id("clic.drops.duplicate");
-const M_DROPS_OOO: MetricId = counter_id("clic.drops.ooo");
-const M_RECV_BUFFER_BYTES: MetricId = gauge_id("clic.recv_buffer_bytes");
-const M_CWND: MetricId = gauge_id("clic.cwnd");
-const M_SSTHRESH: MetricId = gauge_id("clic.ssthresh");
-const M_ECN_ECHOES: MetricId = counter_id("clic.ecn_echoes");
-const TL_EFFECTIVE_WINDOW: MetricId = gauge_id("clic.effective_window");
-const TL_INFLIGHT_BYTES: MetricId = gauge_id("clic.inflight_bytes");
 
 /// Activity counters.
 #[derive(Debug, Default, Clone)]
@@ -305,10 +293,8 @@ impl Congestion {
 /// change. Only ever called with congestion control enabled, so disabled
 /// runs see zero new metric traffic.
 fn cong_gauges(sim: &mut Sim, c: &Congestion) {
-    sim.metrics.gauge_set_id(M_CWND, c.cwnd as i64);
-    sim.metrics.gauge_set_id(M_SSTHRESH, c.ssthresh as i64);
-    sim.timeline.gauge(sim.now(), M_CWND, c.cwnd as i64);
-    sim.timeline.gauge(sim.now(), M_SSTHRESH, c.ssthresh as i64);
+    sim.record(CLIC_CWND, c.cwnd as u64);
+    sim.record(CLIC_SSTHRESH, c.ssthresh as u64);
 }
 
 struct QueuedPacket {
@@ -761,14 +747,14 @@ impl ClicModule {
     /// standard system call.
     pub fn send(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, opts: SendOptions, data: Bytes) {
         let kernel = Self::kernel(module);
-        sim.metrics.observe_id(M_MSG_BYTES, data.len() as u64);
+        sim.record(CLIC_MSG_BYTES, data.len() as u64);
         if opts.trace != 0 {
-            sim.trace.begin(sim.now(), Layer::Os, "syscall", opts.trace);
+            sim.trace.begin(sim.now(), SYSCALL, opts.trace);
         }
         let module = module.clone();
         Kernel::syscall(&kernel, sim, move |sim| {
             if opts.trace != 0 {
-                sim.trace.end(sim.now(), Layer::Os, "syscall", opts.trace);
+                sim.trace.end(sim.now(), SYSCALL, opts.trace);
             }
             Self::module_tx(&module, sim, opts, data);
         });
@@ -809,14 +795,12 @@ impl ClicModule {
             (cost, (opts.dst, opts.channel))
         };
         if opts.trace != 0 {
-            sim.trace
-                .begin(sim.now(), Layer::Clic, "clic_module_tx", opts.trace);
+            sim.trace.begin(sim.now(), CLIC_MODULE_TX, opts.trace);
         }
         let module2 = module.clone();
         Kernel::cpu_task(&kernel, sim, cost, move |sim| {
             if opts.trace != 0 {
-                sim.trace
-                    .end(sim.now(), Layer::Clic, "clic_module_tx", opts.trace);
+                sim.trace.end(sim.now(), CLIC_MODULE_TX, opts.trace);
             }
             Self::enqueue_message(&module2, sim, key, opts, data);
         });
@@ -1021,7 +1005,7 @@ impl ClicModule {
                 // Timeline samples of the window state at this pump; the
                 // byte sum walks the inflight map, so guard on enablement.
                 let window_sample = if sim.timeline.is_enabled() {
-                    Some((cap as i64, flow.window.inflight_bytes() as i64))
+                    Some((cap as u64, flow.window.inflight_bytes()))
                 } else {
                     None
                 };
@@ -1045,8 +1029,8 @@ impl ClicModule {
                 (post, window_sample)
             };
             if let Some((cap, inflight)) = window_sample {
-                sim.timeline.gauge(sim.now(), TL_EFFECTIVE_WINDOW, cap);
-                sim.timeline.gauge(sim.now(), TL_INFLIGHT_BYTES, inflight);
+                sim.record(CLIC_EFFECTIVE_WINDOW, cap);
+                sim.record(CLIC_INFLIGHT_BYTES, inflight);
             }
             match post {
                 None => return,
@@ -1107,9 +1091,8 @@ impl ClicModule {
         let staging_cost = if !pkt.staged {
             let mut m = module.borrow_mut();
             m.stats.staged_copies += 1;
-            sim.metrics.counter_inc_id(M_STAGED_COPIES);
-            sim.trace
-                .instant(sim.now(), Layer::Clic, "staged_copy", pkt.trace);
+            sim.record(CLIC_STAGED_COPIES, 1);
+            sim.trace.instant(sim.now(), STAGED_COPY, pkt.trace);
             pkt.staged = true;
             if m.config.zero_copy {
                 Some(
@@ -1227,9 +1210,8 @@ impl ClicModule {
             }
         };
         if !resend.is_empty() {
-            sim.metrics
-                .counter_add("clic.retransmits", resend.len() as u64);
-            sim.trace.instant(sim.now(), Layer::Clic, "rto", 0);
+            sim.record(CLIC_RETRANSMITS, resend.len() as u64);
+            sim.trace.instant(sim.now(), RTO_CLIC, 0);
         }
         let kernel = Self::kernel(module);
         let zero_copy = module.borrow().config.zero_copy;
@@ -1265,25 +1247,25 @@ impl ClicModule {
             match &err {
                 ClicError::MaxRetriesExceeded { .. } => {
                     m.stats.flow_failures_max_retries += 1;
-                    Some("clic.flow_failures.max_retries")
+                    Some(CLIC_FLOW_FAILURES_MAX_RETRIES)
                 }
                 ClicError::PeerDead { .. } => {
                     m.stats.flow_failures_peer_dead += 1;
-                    Some("clic.flow_failures.peer_dead")
+                    Some(CLIC_FLOW_FAILURES_PEER_DEAD)
                 }
                 ClicError::StaleEpoch { .. } => {
                     m.stats.flow_failures_stale_epoch += 1;
-                    Some("clic.flow_failures.stale_epoch")
+                    Some(CLIC_FLOW_FAILURES_STALE_EPOCH)
                 }
                 // Config errors come from validation, never from a flow.
                 ClicError::Config { .. } => None,
             }
         };
-        sim.metrics.counter_inc_id(M_FLOW_FAILURES);
-        if let Some(name) = cause {
-            sim.metrics.counter_inc(name);
+        sim.record(CLIC_FLOW_FAILURES, 1);
+        if let Some(m) = cause {
+            sim.record(m, 1);
         }
-        sim.trace.instant(sim.now(), Layer::Clic, "flow_fail", 0);
+        sim.trace.instant(sim.now(), FLOW_FAIL, 0);
         let handler = module.borrow().error_handler.clone();
         if let Some(h) = handler {
             h(sim, err);
@@ -1379,8 +1361,8 @@ impl ClicModule {
     /// ACK counter or the RTT estimator (Karn-safe by construction).
     fn send_probe(module: &Rc<RefCell<ClicModule>>, sim: &mut Sim, key: FlowKey) {
         module.borrow_mut().stats.keepalive_probes += 1;
-        sim.metrics.counter_inc_id(M_KEEPALIVE_PROBES);
-        sim.trace.instant(sim.now(), Layer::Clic, "keepalive", 0);
+        sim.record(CLIC_KEEPALIVE_PROBES, 1);
+        sim.trace.instant(sim.now(), KEEPALIVE, 0);
         Self::send_control(module, sim, key, control::PROBE);
     }
 
@@ -1568,8 +1550,8 @@ impl ClicModule {
             }
         };
         if expired {
-            sim.metrics.counter_inc_id(M_DROPS_EXPIRED);
-            sim.trace.instant(sim.now(), Layer::Clic, "drop.expired", 0);
+            sim.record(CLIC_DROPS_EXPIRED, 1);
+            sim.trace.instant(sim.now(), DROP_EXPIRED, 0);
         } else {
             // Still buffering and the sender was heard recently: re-check
             // one timeout from now.
@@ -1602,8 +1584,7 @@ impl ClicModule {
             }
         };
         if frame.trace != 0 {
-            sim.trace
-                .begin(sim.now(), Layer::Clic, "clic_module_rx", frame.trace);
+            sim.trace.begin(sim.now(), CLIC_MODULE_RX, frame.trace);
         }
         let module2 = module.clone();
         let kernel2 = kernel.clone();
@@ -1611,8 +1592,7 @@ impl ClicModule {
         let trace = frame.trace;
         Kernel::cpu_task(kernel, sim, cost, move |sim| {
             if trace != 0 {
-                sim.trace
-                    .end(sim.now(), Layer::Clic, "clic_module_rx", trace);
+                sim.trace.end(sim.now(), CLIC_MODULE_RX, trace);
             }
             Self::process_packet(&module2, sim, &kernel2, src, header, chunk, trace);
         });
@@ -1683,8 +1663,8 @@ impl ClicModule {
                 cong_gauges(sim, c);
             }
             if echoed {
-                sim.metrics.counter_inc_id(M_ECN_ECHOES);
-                sim.trace.instant(now, Layer::Clic, "ecn_echo", 0);
+                sim.record(CLIC_ECN_ECHOES, 1);
+                sim.trace.instant(now, ECN_ECHO, 0);
             }
             let outcome = if summary.acked == 0 {
                 // A cumulative ACK that moves nothing is the receiver
@@ -1714,7 +1694,7 @@ impl ClicModule {
                 if let Some(sent_at) = summary.clean_sent_at {
                     let sample_ns = now.saturating_since(sent_at).as_ns();
                     flow.rto_current = flow.rtt_sample(sample_ns, &config);
-                    sim.metrics.observe_id(M_RTTVAR, flow.rttvar_ns);
+                    sim.record(CLIC_RTTVAR, flow.rttvar_ns);
                 }
                 flow.rto_gen += 1;
                 flow.rto_running = false;
@@ -1745,10 +1725,9 @@ impl ClicModule {
                 m.stats.fast_retransmits += 1;
                 m.stats.retransmits += 1;
             }
-            sim.metrics.counter_inc_id(M_FAST_RETRANSMITS);
-            sim.metrics.counter_inc_id(M_RETRANSMITS);
-            sim.trace
-                .instant(sim.now(), Layer::Clic, "fast_retransmit", 0);
+            sim.record(CLIC_FAST_RETRANSMITS, 1);
+            sim.record(CLIC_RETRANSMITS, 1);
+            sim.trace.instant(sim.now(), FAST_RETRANSMIT_CLIC, 0);
             let kernel = Self::kernel(module);
             let (dev, zero_copy) = {
                 let mut m = module.borrow_mut();
@@ -1817,9 +1796,8 @@ impl ClicModule {
             }
         };
         if stale {
-            sim.metrics.counter_inc_id(M_DROPS_STALE_EPOCH);
-            sim.trace
-                .instant(sim.now(), Layer::Clic, "drop.stale_epoch", trace);
+            sim.record(CLIC_DROPS_STALE_EPOCH, 1);
+            sim.trace.instant(sim.now(), DROP_STALE_EPOCH, trace);
             Self::send_control(module, sim, key, control::RESET);
             return;
         }
@@ -1836,9 +1814,8 @@ impl ClicModule {
                 .unwrap_or(false);
             if over_budget {
                 m.stats.backlog_drops += 1;
-                sim.metrics.counter_inc_id(M_DROPS_BACKLOG);
-                sim.trace
-                    .instant(sim.now(), Layer::Clic, "drop.backlog", trace);
+                sim.record(CLIC_DROPS_BACKLOG, 1);
+                sim.trace.instant(sim.now(), DROP_BACKLOG, trace);
                 return;
             }
             let ack_every = m.config.ack_every;
@@ -1870,9 +1847,8 @@ impl ClicModule {
                 }
                 RecvOutcome::Duplicate => {
                     m.stats.duplicates += 1;
-                    sim.metrics.counter_inc_id(M_DROPS_DUPLICATE);
-                    sim.trace
-                        .instant(sim.now(), Layer::Clic, "drop.duplicate", trace);
+                    sim.record(CLIC_DROPS_DUPLICATE, 1);
+                    sim.trace.instant(sim.now(), DROP_DUPLICATE, trace);
                     (Vec::new(), true) // re-ACK so the sender resyncs
                 }
                 // Out of order: NACK at once by re-advertising the
@@ -1881,8 +1857,8 @@ impl ClicModule {
                 RecvOutcome::Buffered => (Vec::new(), true),
                 RecvOutcome::Overflow => {
                     m.stats.ooo_drops += 1;
-                    sim.metrics.counter_inc_id(M_DROPS_OOO);
-                    sim.trace.instant(sim.now(), Layer::Clic, "drop.ooo", trace);
+                    sim.record(CLIC_DROPS_OOO, 1);
+                    sim.trace.instant(sim.now(), DROP_OOO, trace);
                     (Vec::new(), false)
                 }
             }
@@ -2005,9 +1981,7 @@ impl ClicModule {
                 None => 0,
                 Some(budget) => {
                     let used = m.buffered_bytes();
-                    sim.metrics.gauge_set_id(M_RECV_BUFFER_BYTES, used as i64);
-                    sim.timeline
-                        .gauge(sim.now(), M_RECV_BUFFER_BYTES, used as i64);
+                    sim.record(CLIC_RECV_BUFFER_BYTES, used as u64);
                     let free = budget.saturating_sub(used);
                     ((free / m.max_chunk).max(1)).min(m.config.window) as u32
                 }
@@ -2088,12 +2062,11 @@ impl ClicModule {
                 // the user memory region, no receive call involved.
                 let module2 = module.clone();
                 if trace != 0 {
-                    sim.trace
-                        .begin(sim.now(), Layer::Clic, "copy_to_user", trace);
+                    sim.trace.begin(sim.now(), COPY_TO_USER, trace);
                 }
                 Kernel::cpu_task(&kernel, sim, cost, move |sim| {
                     if trace != 0 {
-                        sim.trace.end(sim.now(), Layer::Clic, "copy_to_user", trace);
+                        sim.trace.end(sim.now(), COPY_TO_USER, trace);
                     }
                     let mut m = module2.borrow_mut();
                     // The port may have been torn down during the copy
@@ -2111,12 +2084,11 @@ impl ClicModule {
             Action::Wake { pid, waiter, cost } => {
                 let kernel2 = kernel.clone();
                 if trace != 0 {
-                    sim.trace
-                        .begin(sim.now(), Layer::Clic, "copy_to_user", trace);
+                    sim.trace.begin(sim.now(), COPY_TO_USER, trace);
                 }
                 Kernel::cpu_task(&kernel, sim, cost, move |sim| {
                     if trace != 0 {
-                        sim.trace.end(sim.now(), Layer::Clic, "copy_to_user", trace);
+                        sim.trace.end(sim.now(), COPY_TO_USER, trace);
                     }
                     match pid {
                         Some(pid) => Kernel::wake(&kernel2, sim, pid, move |sim| waiter(sim, msg)),

@@ -16,19 +16,13 @@
 
 use crate::frame::Frame;
 use crate::link::private::Direction;
-use clic_sim::catalog::{counter_id, histogram_id};
-use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
+use clic_sim::catalog::{
+    ETH_CORRUPT, ETH_DUPLICATES, ETH_LINK_FRAMES_LOST, ETH_LINK_FRAME_BYTES, ETH_LINK_TX_BYTES,
+    ETH_REORDERS, LINK_DROP, WIRE,
+};
+use clic_sim::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Interned metric ids — transmit runs once per frame, so names are
-/// resolved against the catalog at compile time.
-const M_FRAME_BYTES: MetricId = histogram_id("eth.link.frame_bytes");
-const TL_TX_BYTES: MetricId = counter_id("eth.link.tx_bytes");
-const M_FRAMES_LOST: MetricId = counter_id("eth.link.frames_lost");
-const M_CORRUPT: MetricId = counter_id("eth.corrupt");
-const M_DUPLICATES: MetricId = counter_id("eth.duplicates");
-const M_REORDERS: MetricId = counter_id("eth.reorders");
 
 /// Callback invoked when a frame fully arrives at a link end.
 pub type FrameHandler = Rc<dyn Fn(&mut Sim, Frame)>;
@@ -403,13 +397,13 @@ impl Link {
             SimDuration::ZERO
         };
         if corrupt {
-            sim.metrics.counter_inc_id(M_CORRUPT);
+            sim.record(ETH_CORRUPT, 1);
         }
         if duplicate {
-            sim.metrics.counter_inc_id(M_DUPLICATES);
+            sim.record(ETH_DUPLICATES, 1);
         }
         if hold > SimDuration::ZERO {
-            sim.metrics.counter_inc_id(M_REORDERS);
+            sim.record(ETH_REORDERS, 1);
         }
         Fate::Deliver {
             corrupt,
@@ -422,12 +416,10 @@ impl Link {
     /// serialized after any frames already queued in that direction, then
     /// propagates and is delivered to the far handler (unless lost).
     pub fn transmit(link: &Rc<RefCell<Link>>, sim: &mut Sim, from: LinkEnd, frame: Frame) {
-        sim.metrics
-            .observe_id(M_FRAME_BYTES, frame.frame_bytes() as u64);
-        sim.timeline
-            .counter(sim.now(), TL_TX_BYTES, frame.frame_bytes() as u64);
+        sim.record(ETH_LINK_FRAME_BYTES, frame.frame_bytes() as u64);
+        sim.record(ETH_LINK_TX_BYTES, frame.frame_bytes() as u64);
         if frame.trace != 0 {
-            sim.trace.begin(sim.now(), Layer::Eth, "wire", frame.trace);
+            sim.trace.begin(sim.now(), WIRE, frame.trace);
         }
         let (deliver_at, serialize_done, frame_seq, wire) = {
             let mut l = link.borrow_mut();
@@ -455,13 +447,12 @@ impl Link {
                 match fate {
                     Fate::Lost => {
                         d.frames_lost += 1;
-                        sim.metrics.counter_inc_id(M_FRAMES_LOST);
+                        sim.record(ETH_LINK_FRAMES_LOST, 1);
                         if frame.trace != 0 {
                             // Close the wire span at the loss point so the
                             // trace stays balanced, then mark the drop.
-                            sim.trace.end(sim.now(), Layer::Eth, "wire", frame.trace);
-                            sim.trace
-                                .instant(sim.now(), Layer::Eth, "link_drop", frame.trace);
+                            sim.trace.end(sim.now(), WIRE, frame.trace);
+                            sim.trace.instant(sim.now(), LINK_DROP, frame.trace);
                         }
                         return;
                     }
@@ -488,7 +479,7 @@ impl Link {
                     let delay = (deliver_at + hold) - sim.now();
                     sim.schedule_in(delay, move |sim| {
                         if frame.trace != 0 {
-                            sim.trace.end(sim.now(), Layer::Eth, "wire", frame.trace);
+                            sim.trace.end(sim.now(), WIRE, frame.trace);
                         }
                         let mut frame = frame;
                         if corrupt {
@@ -508,7 +499,7 @@ impl Link {
                 None if frame.trace != 0 => {
                     // No station attached: the frame vanishes, but the span
                     // must still close.
-                    sim.trace.end(sim.now(), Layer::Eth, "wire", frame.trace);
+                    sim.trace.end(sim.now(), WIRE, frame.trace);
                 }
                 None => {}
             }

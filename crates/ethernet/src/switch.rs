@@ -26,21 +26,15 @@ use crate::frame::Frame;
 use crate::link::{Link, LinkEnd};
 use crate::mac::{EtherType, MacAddr};
 use bytes::BytesMut;
-use clic_sim::catalog::{counter_id, gauge_id, histogram_id};
-use clic_sim::{Layer, MetricId, Sim, SimDuration};
+use clic_sim::catalog::{
+    ETH_FABRIC_FLOOD_PRUNED, ETH_FABRIC_TRUNK_TX_FRAMES, ETH_SWITCH_DROPS, ETH_SWITCH_ECN_MARKS,
+    ETH_SWITCH_QUEUE_DEPTH, SWITCH_DROP, SWITCH_MARK,
+};
+use clic_sim::{Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
-
-/// Interned metric ids — the forwarding path records per frame, so names
-/// are resolved against the catalog at compile time.
-const M_QUEUE_DEPTH_G: MetricId = gauge_id("eth.switch.queue_depth");
-const M_QUEUE_DEPTH_H: MetricId = histogram_id("eth.switch.queue_depth");
-const M_DROPS: MetricId = counter_id("eth.switch.drops");
-const M_ECN_MARKS: MetricId = counter_id("eth.switch.ecn_marks");
-const M_TRUNK_TX: MetricId = counter_id("eth.fabric.trunk_tx_frames");
-const M_FLOOD_PRUNED: MetricId = counter_id("eth.fabric.flood_pruned");
 
 /// Congestion-experienced bit: the high bit of the CLIC packet-type octet
 /// (payload byte 0 of a CLIC-EtherType frame). Mirrors `clic_core::CE_BIT`;
@@ -280,7 +274,7 @@ impl Switch {
         };
         if pruned > 0 {
             switch.borrow_mut().flood_pruned += pruned;
-            sim.metrics.counter_add_id(M_FLOOD_PRUNED, pruned);
+            sim.record(ETH_FABRIC_FLOOD_PRUNED, pruned);
         }
         match decision {
             Decision::Drop => {}
@@ -312,27 +306,22 @@ impl Switch {
             )
         };
         if trunk {
-            sim.metrics.counter_inc_id(M_TRUNK_TX);
+            sim.record(ETH_FABRIC_TRUNK_TX_FRAMES, 1);
         }
         // Queue occupancy at the instant of the forwarding decision: the
         // peak gauge is the congestion headline, the histogram its shape,
         // and the timeline series its trajectory over simulated time.
-        sim.metrics.gauge_set_id(M_QUEUE_DEPTH_G, depth as i64);
-        sim.metrics.observe_id(M_QUEUE_DEPTH_H, depth as u64);
-        sim.timeline.gauge(sim.now(), M_QUEUE_DEPTH_G, depth as i64);
+        sim.record(ETH_SWITCH_QUEUE_DEPTH, depth as u64);
         if full {
             switch.borrow_mut().frames_dropped += 1;
-            sim.metrics.counter_inc_id(M_DROPS);
-            sim.trace
-                .instant(sim.now(), Layer::Eth, "switch_drop", frame.trace);
+            sim.record(ETH_SWITCH_DROPS, 1);
+            sim.trace.instant(sim.now(), SWITCH_DROP, frame.trace);
             return;
         }
         let frame = if mark && Switch::markable(&frame) {
             switch.borrow_mut().frames_marked += 1;
-            sim.metrics.counter_inc_id(M_ECN_MARKS);
-            sim.timeline.counter(sim.now(), M_ECN_MARKS, 1);
-            sim.trace
-                .instant(sim.now(), Layer::Eth, "switch_mark", frame.trace);
+            sim.record(ETH_SWITCH_ECN_MARKS, 1);
+            sim.trace.instant(sim.now(), SWITCH_MARK, frame.trace);
             Switch::set_ce(frame)
         } else {
             frame

@@ -8,11 +8,8 @@
 //! resources that applications need — so the cost lands on the CPU resource
 //! and shows up in utilisation figures.
 
-use clic_sim::catalog::histogram_id;
-use clic_sim::{MetricId, Sim, SimDuration};
-
-/// Interned id of the per-copy size histogram.
-const M_COPY_BYTES: MetricId = histogram_id("hw.mem.copy_bytes");
+use clic_sim::catalog::HW_MEM_COPY_BYTES;
+use clic_sim::{Sim, SimDuration};
 
 /// Cost model for CPU memory copies.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +39,7 @@ impl CopyModel {
     /// run's `hw.mem.copy_bytes` histogram so copy traffic shows up in the
     /// metrics dump.
     pub fn cost_observed(&self, sim: &mut Sim, bytes: usize) -> SimDuration {
-        sim.metrics.observe_id(M_COPY_BYTES, bytes as u64);
+        sim.record(HW_MEM_COPY_BYTES, bytes as u64);
         self.cost(bytes)
     }
 }

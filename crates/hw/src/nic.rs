@@ -24,20 +24,15 @@ use crate::frag::{self, Reassembler, FRAG_HEADER};
 use crate::pci::PciBus;
 use bytes::Bytes;
 use clic_ethernet::{EtherType, Frame, Link, LinkEnd, MacAddr, ETH_HEADER};
-use clic_sim::catalog::counter_id;
-use clic_sim::{Layer, MetricId, Sim, SimDuration, SimTime};
+use clic_sim::catalog::{
+    DROP_FCS, DROP_RX_NO_BUFFER, HW_NIC_COLL_COMPLETIONS, HW_NIC_COLL_MSGS_RX, HW_NIC_COLL_MSGS_TX,
+    HW_NIC_RX_FCS_ERRORS, HW_NIC_RX_NO_BUFFER, HW_NIC_TX_BYTES, NIC_COLL_DOWN, NIC_COLL_UP,
+    NIC_RX_DMA, NIC_TX_DMA,
+};
+use clic_sim::{Sim, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
-
-/// Interned metric ids — resolved against the catalog at compile time so
-/// the RX hot path records without hashing names.
-const M_RX_FCS_ERRORS: MetricId = counter_id("hw.nic.rx_fcs_errors");
-const M_RX_NO_BUFFER: MetricId = counter_id("hw.nic.rx_no_buffer");
-const TL_TX_BYTES: MetricId = counter_id("hw.nic.tx_bytes");
-const M_COLL_RX: MetricId = counter_id("hw.nic.coll.msgs_rx");
-const M_COLL_TX: MetricId = counter_id("hw.nic.coll.msgs_tx");
-const M_COLL_DONE: MetricId = counter_id("hw.nic.coll.completions");
 
 /// Static NIC configuration.
 #[derive(Debug, Clone)]
@@ -315,8 +310,7 @@ impl Nic {
             frames
         };
         if desc.trace != 0 {
-            sim.trace
-                .begin(sim.now(), Layer::Hw, "nic_tx_dma", desc.trace);
+            sim.trace.begin(sim.now(), NIC_TX_DMA, desc.trace);
         }
         let start = {
             let mut n = nic.borrow_mut();
@@ -364,7 +358,7 @@ impl Nic {
             (ended, frame)
         };
         for trace in ended_traces {
-            sim.trace.end(sim.now(), Layer::Hw, "nic_tx_dma", trace);
+            sim.trace.end(sim.now(), NIC_TX_DMA, trace);
         }
         let Some(frame) = frame else {
             return;
@@ -373,8 +367,7 @@ impl Nic {
         let dma_bytes = ETH_HEADER + frame.payload.len();
         let nic2 = nic.clone();
         pci.dma(sim, dma_bytes, move |sim| {
-            sim.timeline
-                .counter(sim.now(), TL_TX_BYTES, frame.payload.len() as u64);
+            sim.record(HW_NIC_TX_BYTES, frame.payload.len() as u64);
             let (link, end, internal_copy) = {
                 let mut n = nic2.borrow_mut();
                 n.stats.tx_frames += 1;
@@ -421,10 +414,9 @@ impl Nic {
             // arrives, before any filtering or buffering decision.
             if frame.fcs_corrupt {
                 n.stats.rx_fcs_errors += 1;
-                sim.metrics.counter_inc_id(M_RX_FCS_ERRORS);
+                sim.record(HW_NIC_RX_FCS_ERRORS, 1);
                 if frame.trace != 0 {
-                    sim.trace
-                        .instant(sim.now(), Layer::Hw, "drop.fcs", frame.trace);
+                    sim.trace.instant(sim.now(), DROP_FCS, frame.trace);
                 }
                 return;
             }
@@ -449,9 +441,8 @@ impl Nic {
             }
             if n.host_queue.len() + n.reasm.pending() >= n.config.rx_ring {
                 n.stats.rx_no_buffer += 1;
-                sim.metrics.counter_inc_id(M_RX_NO_BUFFER);
-                sim.trace
-                    .instant(sim.now(), Layer::Hw, "drop.rx_no_buffer", frame.trace);
+                sim.record(HW_NIC_RX_NO_BUFFER, 1);
+                sim.trace.instant(sim.now(), DROP_RX_NO_BUFFER, frame.trace);
                 return;
             }
         }
@@ -462,13 +453,11 @@ impl Nic {
             let bytes = ETH_HEADER + frame.payload.len();
             let nic2 = nic.clone();
             if frame.trace != 0 {
-                sim.trace
-                    .begin(sim.now(), Layer::Hw, "nic_rx_dma", frame.trace);
+                sim.trace.begin(sim.now(), NIC_RX_DMA, frame.trace);
             }
             pci.dma(sim, bytes, move |sim| {
                 if frame.trace != 0 {
-                    sim.trace
-                        .end(sim.now(), Layer::Hw, "nic_rx_dma", frame.trace);
+                    sim.trace.end(sim.now(), NIC_RX_DMA, frame.trace);
                 }
                 Nic::rx_store(&nic2, sim, frame);
             });
@@ -611,13 +600,13 @@ impl Nic {
             n.stats.coll_msgs_rx += 1;
             (d, t)
         };
-        sim.metrics.counter_inc_id(M_COLL_RX);
+        sim.record(HW_NIC_COLL_MSGS_RX, 1);
         let t = if frame.trace != 0 { frame.trace } else { trace };
         if t != 0 {
             if msg.is_up() {
-                sim.trace.instant(sim.now(), Layer::Hw, "nic_coll_up", t);
+                sim.trace.instant(sim.now(), NIC_COLL_UP, t);
             } else {
-                sim.trace.instant(sim.now(), Layer::Hw, "nic_coll_down", t);
+                sim.trace.instant(sim.now(), NIC_COLL_DOWN, t);
             }
         }
         let nic2 = nic.clone();
@@ -644,14 +633,12 @@ impl Nic {
                         let t = n.coll.as_ref().map(|e| e.config().trace).unwrap_or(0);
                         (n.link.clone(), n.link_end, n.mac, t)
                     };
-                    sim.metrics.counter_inc_id(M_COLL_TX);
+                    sim.record(HW_NIC_COLL_MSGS_TX, 1);
                     if trace != 0 {
                         if msg.is_up() {
-                            sim.trace
-                                .instant(sim.now(), Layer::Hw, "nic_coll_up", trace);
+                            sim.trace.instant(sim.now(), NIC_COLL_UP, trace);
                         } else {
-                            sim.trace
-                                .instant(sim.now(), Layer::Hw, "nic_coll_down", trace);
+                            sim.trace.instant(sim.now(), NIC_COLL_DOWN, trace);
                         }
                     }
                     // Engine TX bypasses the TX ring and the PCI bus: the
@@ -662,17 +649,17 @@ impl Nic {
                 }
                 CollAction::CompleteBarrier(done) => {
                     nic.borrow_mut().stats.coll_completions += 1;
-                    sim.metrics.counter_inc_id(M_COLL_DONE);
+                    sim.record(HW_NIC_COLL_COMPLETIONS, 1);
                     done(sim);
                 }
                 CollAction::CompleteValue(done, value) => {
                     nic.borrow_mut().stats.coll_completions += 1;
-                    sim.metrics.counter_inc_id(M_COLL_DONE);
+                    sim.record(HW_NIC_COLL_COMPLETIONS, 1);
                     done(sim, value);
                 }
                 CollAction::CompleteData(done, data) => {
                     nic.borrow_mut().stats.coll_completions += 1;
-                    sim.metrics.counter_inc_id(M_COLL_DONE);
+                    sim.record(HW_NIC_COLL_COMPLETIONS, 1);
                     done(sim, data);
                 }
             }

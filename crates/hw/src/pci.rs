@@ -6,15 +6,10 @@
 //! bus, which is exactly the "I/O buses have become the bottleneck" effect
 //! the introduction describes.
 
-use clic_sim::catalog::{counter_id, histogram_id};
-use clic_sim::{MetricId, SerialResource, Sim, SimDuration};
+use clic_sim::catalog::HW_PCI_DMA_BYTES;
+use clic_sim::{SerialResource, Sim, SimDuration};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Interned id of the per-transfer DMA size histogram.
-const M_DMA_BYTES: MetricId = histogram_id("hw.pci.dma_bytes");
-/// Interned id of the timeline byte-rate series (same name, counter kind).
-const TL_DMA_BYTES: MetricId = counter_id("hw.pci.dma_bytes");
 
 /// A shared PCI bus.
 pub struct PciBus {
@@ -70,8 +65,7 @@ impl PciBus {
         done: impl FnOnce(&mut Sim) + 'static,
     ) {
         *self.bytes_moved.borrow_mut() += bytes as u64;
-        sim.metrics.observe_id(M_DMA_BYTES, bytes as u64);
-        sim.timeline.counter(sim.now(), TL_DMA_BYTES, bytes as u64);
+        sim.record(HW_PCI_DMA_BYTES, bytes as u64);
         let t = self.service_time(bytes);
         SerialResource::acquire(&self.bus, sim, t, done);
     }

@@ -13,18 +13,12 @@ use clic_core::module::SendOptions;
 use clic_core::{ClicModule, PacketType};
 use clic_ethernet::MacAddr;
 use clic_os::Pid;
-use clic_sim::catalog::{counter_id, histogram_id};
-use clic_sim::{Layer, MetricId, Sim};
+use clic_sim::catalog::{MPI_MSG_BYTES, MPI_RECV, MPI_RECVS, MPI_SEND, MPI_SENDS};
+use clic_sim::Sim;
 use clic_tcpip::tcp::TcpStack;
 use clic_tcpip::{ConnId, IpAddr};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Interned metric ids — send/recv account per message, so names are
-/// resolved against the catalog at compile time.
-const M_SENDS: MetricId = counter_id("mpi.sends");
-const M_RECVS: MetricId = counter_id("mpi.recvs");
-const M_MSG_BYTES: MetricId = histogram_id("mpi.msg_bytes");
 
 /// Handler for inbound transport messages: `(source rank, payload)`.
 pub type MsgHandler = Rc<dyn Fn(&mut Sim, usize, Bytes)>;
@@ -88,9 +82,8 @@ impl ClicTransport {
                 .iter()
                 .position(|&m| m == msg.src)
                 .expect("message from station outside the job");
-            sim.metrics.counter_inc_id(M_RECVS);
-            sim.trace
-                .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
+            sim.record(MPI_RECVS, 1);
+            sim.trace.instant(sim.now(), MPI_RECV, src as u64);
             if let Some(h) = t.handler.borrow().clone() {
                 h(sim, src, msg.data);
             }
@@ -109,10 +102,9 @@ impl Transport for ClicTransport {
     }
 
     fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
-        sim.metrics.counter_inc_id(M_SENDS);
-        sim.metrics.observe_id(M_MSG_BYTES, data.len() as u64);
-        sim.trace
-            .instant(sim.now(), Layer::Mpi, "mpi_send", dst as u64);
+        sim.record(MPI_SENDS, 1);
+        sim.record(MPI_MSG_BYTES, data.len() as u64);
+        sim.trace.instant(sim.now(), MPI_SEND, dst as u64);
         let opts = SendOptions {
             ptype: PacketType::Mpi,
             ..SendOptions::data(self.peers[dst], MPI_CHANNEL)
@@ -194,9 +186,8 @@ impl TcpTransport {
                 as usize;
             let t2 = t.clone();
             TcpStack::recv(&stack, sim, conn, len, move |sim, body| {
-                sim.metrics.counter_inc_id(M_RECVS);
-                sim.trace
-                    .instant(sim.now(), Layer::Mpi, "mpi_recv", src as u64);
+                sim.record(MPI_RECVS, 1);
+                sim.trace.instant(sim.now(), MPI_RECV, src as u64);
                 if let Some(h) = t2.handler.borrow().clone() {
                     h(sim, src, body);
                 }
@@ -216,10 +207,9 @@ impl Transport for TcpTransport {
     }
 
     fn send(&self, sim: &mut Sim, dst: usize, data: Bytes) {
-        sim.metrics.counter_inc_id(M_SENDS);
-        sim.metrics.observe_id(M_MSG_BYTES, data.len() as u64);
-        sim.trace
-            .instant(sim.now(), Layer::Mpi, "mpi_send", dst as u64);
+        sim.record(MPI_SENDS, 1);
+        sim.record(MPI_MSG_BYTES, data.len() as u64);
+        sim.trace.instant(sim.now(), MPI_SEND, dst as u64);
         let conn = self.conns.borrow()[dst].expect("transport not ready");
         let mut framed = BytesMut::with_capacity(4 + data.len());
         framed.put_u32(data.len() as u32);

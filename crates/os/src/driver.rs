@@ -17,14 +17,11 @@ use crate::kernel::Kernel;
 use crate::skbuff::SkBuff;
 use clic_ethernet::{EtherType, MacAddr, ETH_HEADER};
 use clic_hw::{Nic, TxDescriptor};
-use clic_sim::catalog::counter_id;
-use clic_sim::{Layer, MetricId, Sim};
+use clic_sim::catalog::{BOTTOM_HALF, DRIVER_RX, DRIVER_TX, OS_IRQS};
+use clic_sim::Sim;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
-
-/// Interned id of the per-interrupt counter (one bump per hardware IRQ).
-const M_IRQS: MetricId = counter_id("os.irqs");
 
 /// Post an SkBuff for transmission on device `dev`. The driver charges its
 /// descriptor-setup cost, then posts to the NIC; `on_result` receives
@@ -44,13 +41,12 @@ pub fn hard_start_xmit(
         (k.device(dev), k.costs.driver_tx_per_frame)
     };
     if skb.trace != 0 {
-        sim.trace
-            .begin(sim.now(), Layer::Os, "driver_tx", skb.trace);
+        sim.trace.begin(sim.now(), DRIVER_TX, skb.trace);
     }
     let trace = skb.trace;
     Kernel::cpu_task(kernel, sim, cost, move |sim| {
         if trace != 0 {
-            sim.trace.end(sim.now(), Layer::Os, "driver_tx", trace);
+            sim.trace.end(sim.now(), DRIVER_TX, trace);
         }
         let ok = Nic::transmit(
             &nic,
@@ -98,7 +94,7 @@ fn irq_top_half(kernel: &Rc<RefCell<Kernel>>, sim: &mut Sim, dev: usize) {
         k.stats.irqs += 1;
         k.costs.irq_entry + k.costs.driver_irq_fixed
     };
-    sim.metrics.counter_inc_id(M_IRQS);
+    sim.record(OS_IRQS, 1);
     let kernel2 = kernel.clone();
     Kernel::cpu_irq(kernel, sim, cost, move |sim| {
         rx_round(&kernel2, sim, dev, RX_BUDGET);
@@ -154,14 +150,12 @@ fn process_frames(
         per_frame + pci.service_time(bytes)
     };
     if frame.trace != 0 {
-        sim.trace
-            .begin(sim.now(), Layer::Os, "driver_rx", frame.trace);
+        sim.trace.begin(sim.now(), DRIVER_RX, frame.trace);
     }
     let kernel2 = kernel.clone();
     Kernel::cpu_irq(kernel, sim, move_cost, move |sim| {
         if frame.trace != 0 {
-            sim.trace
-                .end(sim.now(), Layer::Os, "driver_rx", frame.trace);
+            sim.trace.end(sim.now(), DRIVER_RX, frame.trace);
         }
         kernel2.borrow_mut().stats.frames_received += 1;
         dispatch(&kernel2, sim, dev, frame);
@@ -189,11 +183,11 @@ fn dispatch(kernel: &Rc<RefCell<Kernel>>, sim: &mut Sim, dev: usize, frame: Fram
         let kernel2 = kernel.clone();
         let trace = frame.trace;
         if trace != 0 {
-            sim.trace.begin(sim.now(), Layer::Os, "bottom_half", trace);
+            sim.trace.begin(sim.now(), BOTTOM_HALF, trace);
         }
         Kernel::schedule_bh(kernel, sim, move |sim| {
             if trace != 0 {
-                sim.trace.end(sim.now(), Layer::Os, "bottom_half", trace);
+                sim.trace.end(sim.now(), BOTTOM_HALF, trace);
             }
             handler.handle(sim, &kernel2, dev, frame);
         });

@@ -13,18 +13,11 @@ use crate::costs::OsCosts;
 use crate::process::{Pid, ProcessTable};
 use clic_ethernet::Frame;
 use clic_hw::Nic;
-use clic_sim::catalog::counter_id;
-use clic_sim::{Cpu, CpuClass, MetricId, Sim, SimDuration};
+use clic_sim::catalog::{OS_BOTTOM_HALVES, OS_CONTEXT_SWITCHES, OS_LIGHTWEIGHT_CALLS, OS_SYSCALLS};
+use clic_sim::{Cpu, CpuClass, Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
-
-/// Interned metric ids — syscall/IRQ accounting runs per event, so names
-/// are resolved against the catalog at compile time.
-const M_SYSCALLS: MetricId = counter_id("os.syscalls");
-const M_LIGHTWEIGHT_CALLS: MetricId = counter_id("os.lightweight_calls");
-const M_CONTEXT_SWITCHES: MetricId = counter_id("os.context_switches");
-const M_BOTTOM_HALVES: MetricId = counter_id("os.bottom_halves");
 
 /// A protocol entry point, keyed by EtherType.
 pub trait PacketHandler {
@@ -189,7 +182,7 @@ impl Kernel {
             k.stats.syscalls += 1;
             k.costs.syscall
         };
-        sim.metrics.counter_inc_id(M_SYSCALLS);
+        sim.record(OS_SYSCALLS, 1);
         Self::cpu_task(kernel, sim, cost, body);
     }
 
@@ -205,7 +198,7 @@ impl Kernel {
             k.stats.lightweight_calls += 1;
             k.costs.lightweight_call
         };
-        sim.metrics.counter_inc_id(M_LIGHTWEIGHT_CALLS);
+        sim.record(OS_LIGHTWEIGHT_CALLS, 1);
         Self::cpu_task(kernel, sim, cost, body);
     }
 
@@ -221,7 +214,7 @@ impl Kernel {
             let mut k = kernel.borrow_mut();
             if k.processes.wake(pid) {
                 k.stats.context_switches += 1;
-                sim.metrics.counter_inc_id(M_CONTEXT_SWITCHES);
+                sim.record(OS_CONTEXT_SWITCHES, 1);
                 Some(k.costs.context_switch)
             } else {
                 None
@@ -265,7 +258,7 @@ impl Kernel {
             match k.bh_queue.pop_front() {
                 Some(w) => {
                     k.stats.bhs += 1;
-                    sim.metrics.counter_inc_id(M_BOTTOM_HALVES);
+                    sim.record(OS_BOTTOM_HALVES, 1);
                     (w, k.costs.bh_dispatch)
                 }
                 None => {

@@ -1,590 +1,361 @@
-//! Central catalog of every observability name in the workspace.
+//! The catalog: one typed handle per observability name.
 //!
-//! Every metric name recorded into [`crate::metrics::Metrics`] and every
-//! trace stage/instant name emitted into [`crate::trace::Trace`] must be
-//! registered here. The catalog is consumed twice:
+//! Every metric the workspace records is a [`Metric`] constant declared
+//! here with its name, help text and [`Sinks`]; every trace stage is a
+//! [`Stage`] constant carrying its name and emitting [`Layer`]. Model
+//! crates import the handles and record through
+//! [`Sim::record`](crate::Sim::record) and
+//! [`Trace::begin`](crate::trace::Trace::begin) and friends, so a name
+//! that is not declared here does not compile. Nothing re-checks names at
+//! run time.
 //!
-//! * **at runtime** — [`Metrics::uncataloged`](crate::metrics::Metrics::uncataloged)
-//!   and [`Trace::uncataloged_stages`](crate::trace::Trace::uncataloged_stages)
-//!   check recorded names against it, and the experiment layer
-//!   (`clic-cluster`) debug-asserts traced runs are clean, so an
-//!   unregistered name cannot ship silently;
-//! * **statically** — `clic-analyze` (`crates/analyze`) extracts every
-//!   name literal passed to a recording call in the workspace source and
-//!   fails CI on names that are unregistered here, registered twice, or
-//!   registered but never recorded anywhere (dead entries).
+//! Handles are declared in name order, so slot order is name order and
+//! [`Metrics::dump`](crate::metrics::Metrics::dump), the timeline CSV and
+//! its counter tracks list series alphabetically without sorting.
 //!
-//! Per-node registries prefix names with `n<idx>.` (for example
-//! `n0.clic.retransmits`); the catalog stores the unprefixed name and
-//! [`strip_node_prefix`] normalises before lookup.
-//!
-//! Keep both tables sorted by name — `clic-analyze` enforces sortedness
-//! so diffs stay one-line and duplicates are obvious.
+//! Per-node snapshot series are rendered with an `n<idx>.` prefix (for
+//! example `n0.clic.retransmits`); [`strip_node_prefix`] undoes it.
 
 use crate::trace::Layer;
 
-/// What kind of instrument a metric name refers to.
-///
-/// A name may legitimately be registered once per kind (the switch records
-/// `eth.switch.queue_depth` both as a live gauge and as a depth
-/// histogram); registering the same `(name, kind)` pair twice is an error
-/// `clic-analyze` reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MetricKind {
-    /// Monotonic event count ([`crate::metrics::Metrics::counter_add`]).
-    Counter,
-    /// Instantaneous level with peak tracking
-    /// ([`crate::metrics::Metrics::gauge_set`]).
-    Gauge,
-    /// Log-bucketed value distribution
-    /// ([`crate::metrics::Metrics::observe`]).
-    Histogram,
+/// The sinks one [`Sim::record`](crate::Sim::record) call feeds: the
+/// registry's counter or gauge and its histogram, plus at most one
+/// timeline series (a level or a rate).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sinks(u8);
+
+impl Sinks {
+    /// Registry counter: values add up.
+    pub const COUNTER: Sinks = Sinks(1);
+    /// Registry gauge: the last value, with its peak.
+    pub const GAUGE: Sinks = Sinks(1 << 1);
+    /// Registry log-bucketed histogram of the values.
+    pub const HISTOGRAM: Sinks = Sinks(1 << 2);
+    /// Timeline level: each bucket holds the last value written in it.
+    pub const LEVEL: Sinks = Sinks(1 << 3);
+    /// Timeline rate: each bucket holds the sum of values written in it.
+    pub const RATE: Sinks = Sinks(1 << 4);
+
+    /// Whether this set includes `sink`.
+    #[inline]
+    pub const fn has(self, sink: Sinks) -> bool {
+        self.0 & sink.0 != 0
+    }
 }
 
-/// One registered metric name.
+/// A catalogued metric: an index into [`METRICS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Metric(u16);
+
+impl Metric {
+    /// Position in [`METRICS`]; ascending slot order is ascending name
+    /// order.
+    #[inline]
+    pub const fn slot(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Dotted name, without any `n<idx>.` node prefix.
+    #[inline]
+    pub const fn name(self) -> &'static str {
+        METRICS[self.slot()].name
+    }
+
+    /// The sinks a recorded value goes to.
+    #[inline]
+    pub const fn sinks(self) -> Sinks {
+        METRICS[self.slot()].sinks
+    }
+
+    /// What the metric measures.
+    pub const fn help(self) -> &'static str {
+        METRICS[self.slot()].help
+    }
+
+    /// Every handle, in name order.
+    pub fn all() -> impl Iterator<Item = Metric> {
+        (0..METRICS.len() as u16).map(Metric)
+    }
+}
+
+/// The catalog row behind a [`Metric`] handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricDef {
-    /// Dotted metric name, without any `n<idx>.` node prefix.
+    /// Dotted name, without any `n<idx>.` node prefix.
     pub name: &'static str,
-    /// Instrument kind the name is registered for.
-    pub kind: MetricKind,
+    /// Where recorded values go.
+    pub sinks: Sinks,
     /// What the metric measures.
     pub help: &'static str,
 }
 
-/// One registered trace stage / instant-event name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageDef {
-    /// Stable stage name as passed to [`crate::trace::Trace::begin`] /
-    /// [`crate::trace::Trace::instant`].
-    pub name: &'static str,
-    /// Layers that emit this stage.
-    pub layers: &'static [Layer],
-    /// What the span/event marks.
-    pub help: &'static str,
+/// A catalogued trace stage or instant-event name and the layer that
+/// emits it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Stage {
+    name: &'static str,
+    layer: Layer,
 }
 
-const C: MetricKind = MetricKind::Counter;
-const G: MetricKind = MetricKind::Gauge;
-const H: MetricKind = MetricKind::Histogram;
+impl Stage {
+    /// Stable stage name.
+    #[inline]
+    pub const fn name(self) -> &'static str {
+        self.name
+    }
 
-/// Every metric name the workspace may record, sorted by `(name, kind)`.
-pub const METRICS: &[MetricDef] = &[
-    MetricDef {
-        name: "clic.cwnd",
-        kind: G,
-        help: "per-flow congestion window after the latest update, packets",
-    },
-    MetricDef {
-        name: "clic.drops.backlog",
-        kind: C,
-        help: "packets dropped because the receive backlog was full",
-    },
-    MetricDef {
-        name: "clic.drops.duplicate",
-        kind: C,
-        help: "already-delivered packets dropped (sender missed an ACK)",
-    },
-    MetricDef {
-        name: "clic.drops.expired",
-        kind: C,
-        help: "buffered receive state discarded after peer-silence expiry",
-    },
-    MetricDef {
-        name: "clic.drops.ooo",
-        kind: C,
-        help: "packets dropped because the out-of-order buffer was full",
-    },
-    MetricDef {
-        name: "clic.drops.stale_epoch",
-        kind: C,
-        help: "packets dropped for carrying a previous session epoch",
-    },
-    MetricDef {
-        name: "clic.ecn_echoes",
-        kind: C,
-        help: "ACKs carrying a congestion-mark echo, processed by senders",
-    },
-    MetricDef {
-        name: "clic.effective_window",
-        kind: G,
-        help: "effective send window after peer advertisement, packets (timeline)",
-    },
-    MetricDef {
-        name: "clic.fast_retransmits",
-        kind: C,
-        help: "retransmissions triggered by duplicate ACKs",
-    },
-    MetricDef {
-        name: "clic.flow_failures",
-        kind: C,
-        help: "flows torn down by any error (sum of the per-cause splits)",
-    },
-    MetricDef {
-        name: "clic.flow_failures.max_retries",
-        kind: C,
-        help: "flows torn down after exhausting retransmission retries",
-    },
-    MetricDef {
-        name: "clic.flow_failures.peer_dead",
-        kind: C,
-        help: "flows torn down after keepalive declared the peer dead",
-    },
-    MetricDef {
-        name: "clic.flow_failures.stale_epoch",
-        kind: C,
-        help: "flows torn down because the peer restarted into a new epoch",
-    },
-    MetricDef {
-        name: "clic.inflight_bytes",
-        kind: G,
-        help: "payload bytes sent but not yet acknowledged (timeline)",
-    },
-    MetricDef {
-        name: "clic.keepalive_probes",
-        kind: C,
-        help: "keepalive probe packets sent on silent flows",
-    },
-    MetricDef {
-        name: "clic.msg_bytes",
-        kind: H,
-        help: "per-message payload size offered to clic_send",
-    },
-    MetricDef {
-        name: "clic.msgs_received",
-        kind: C,
-        help: "messages delivered to receiving ports",
-    },
-    MetricDef {
-        name: "clic.msgs_sent",
-        kind: C,
-        help: "messages accepted from sending processes",
-    },
-    MetricDef {
-        name: "clic.packets_received",
-        kind: C,
-        help: "CLIC data packets received",
-    },
-    MetricDef {
-        name: "clic.packets_sent",
-        kind: C,
-        help: "CLIC data packets sent (including retransmissions)",
-    },
-    MetricDef {
-        name: "clic.recv_buffer_bytes",
-        kind: G,
-        help: "receive-side buffered bytes charged against the budget",
-    },
-    MetricDef {
-        name: "clic.retransmits",
-        kind: C,
-        help: "packets retransmitted (timeout or duplicate-ACK driven)",
-    },
-    MetricDef {
-        name: "clic.rttvar",
-        kind: H,
-        help: "smoothed RTT variance samples feeding the adaptive RTO, ns",
-    },
-    MetricDef {
-        name: "clic.ssthresh",
-        kind: G,
-        help: "per-flow slow-start threshold after the latest update, packets",
-    },
-    MetricDef {
-        name: "clic.staged_copies",
-        kind: C,
-        help: "1-copy sends staged through a kernel bounce buffer",
-    },
-    MetricDef {
-        name: "eth.corrupt",
-        kind: C,
-        help: "frames corrupted in flight by fault injection",
-    },
-    MetricDef {
-        name: "eth.duplicates",
-        kind: C,
-        help: "frames duplicated in flight by fault injection",
-    },
-    MetricDef {
-        name: "eth.fabric.flood_pruned",
-        kind: C,
-        help: "flood copies suppressed by the loop-free flood membership",
-    },
-    MetricDef {
-        name: "eth.fabric.trunk_tx_frames",
-        kind: C,
-        help: "frames forwarded out switch-to-switch trunk ports",
-    },
-    MetricDef {
-        name: "eth.link.frame_bytes",
-        kind: H,
-        help: "on-wire frame sizes, bytes",
-    },
-    MetricDef {
-        name: "eth.link.frames_lost",
-        kind: C,
-        help: "frames lost in flight (fault injection or outage)",
-    },
-    MetricDef {
-        name: "eth.link.tx_bytes",
-        kind: C,
-        help: "on-wire bytes offered to links, timeline rate source",
-    },
-    MetricDef {
-        name: "eth.reorders",
-        kind: C,
-        help: "frames reordered in flight by fault injection",
-    },
-    MetricDef {
-        name: "eth.switch.drops",
-        kind: C,
-        help: "frames tail-dropped at a full switch output queue",
-    },
-    MetricDef {
-        name: "eth.switch.ecn_marks",
-        kind: C,
-        help: "frames stamped congestion-experienced at a switch output queue",
-    },
-    MetricDef {
-        name: "eth.switch.frames_dropped",
-        kind: C,
-        help: "switch lifetime tail-drop total (per-run export)",
-    },
-    MetricDef {
-        name: "eth.switch.frames_flooded",
-        kind: C,
-        help: "frames flooded to all ports (broadcast/multicast/unknown)",
-    },
-    MetricDef {
-        name: "eth.switch.frames_forwarded",
-        kind: C,
-        help: "frames forwarded to a learned port",
-    },
-    MetricDef {
-        name: "eth.switch.queue_depth",
-        kind: G,
-        help: "live output-queue depth, frames",
-    },
-    MetricDef {
-        name: "eth.switch.queue_depth",
-        kind: H,
-        help: "output-queue depth observed at each enqueue, frames",
-    },
-    MetricDef {
-        name: "hw.mem.copy_bytes",
-        kind: H,
-        help: "per-copy sizes through the memory bus, bytes",
-    },
-    MetricDef {
-        name: "hw.nic.coll.completions",
-        kind: C,
-        help: "collective operations completed by the NIC-resident engine",
-    },
-    MetricDef {
-        name: "hw.nic.coll.msgs_rx",
-        kind: C,
-        help: "collective control frames consumed by the NIC engine (no host IRQ)",
-    },
-    MetricDef {
-        name: "hw.nic.coll.msgs_tx",
-        kind: C,
-        help: "collective control frames emitted by the NIC engine",
-    },
-    MetricDef {
-        name: "hw.nic.irqs",
-        kind: C,
-        help: "interrupts raised by the NIC (after coalescing)",
-    },
-    MetricDef {
-        name: "hw.nic.rx_fcs_errors",
-        kind: C,
-        help: "received frames discarded by the FCS check",
-    },
-    MetricDef {
-        name: "hw.nic.rx_frames",
-        kind: C,
-        help: "frames accepted into the RX ring",
-    },
-    MetricDef {
-        name: "hw.nic.rx_no_buffer",
-        kind: C,
-        help: "frames dropped because the RX ring was full",
-    },
-    MetricDef {
-        name: "hw.nic.tx_bytes",
-        kind: C,
-        help: "payload bytes transmitted by the NIC, timeline rate source",
-    },
-    MetricDef {
-        name: "hw.nic.tx_frames",
-        kind: C,
-        help: "frames transmitted from the TX ring",
-    },
-    MetricDef {
-        name: "hw.nic.tx_ring_full",
-        kind: C,
-        help: "TX descriptor posts rejected by a full ring",
-    },
-    MetricDef {
-        name: "hw.pci.dma_bytes",
-        kind: C,
-        help: "bytes moved over the PCI bus, timeline rate source",
-    },
-    MetricDef {
-        name: "hw.pci.dma_bytes",
-        kind: H,
-        help: "per-transaction DMA sizes over the PCI bus, bytes",
-    },
-    MetricDef {
-        name: "mpi.msg_bytes",
-        kind: H,
-        help: "MPI message payload sizes, bytes",
-    },
-    MetricDef {
-        name: "mpi.recvs",
-        kind: C,
-        help: "MPI receives completed",
-    },
-    MetricDef {
-        name: "mpi.sends",
-        kind: C,
-        help: "MPI sends initiated",
-    },
-    MetricDef {
-        name: "os.bottom_halves",
-        kind: C,
-        help: "bottom-half executions",
-    },
-    MetricDef {
-        name: "os.context_switches",
-        kind: C,
-        help: "process context switches",
-    },
-    MetricDef {
-        name: "os.frames_received",
-        kind: C,
-        help: "frames handed from the driver to protocol handlers",
-    },
-    MetricDef {
-        name: "os.irqs",
-        kind: C,
-        help: "interrupt entries into the kernel",
-    },
-    MetricDef {
-        name: "os.lightweight_calls",
-        kind: C,
-        help: "GAMMA-style lightweight system calls",
-    },
-    MetricDef {
-        name: "os.syscalls",
-        kind: C,
-        help: "full system calls (0.65 us each, paper section 3.1)",
-    },
-    MetricDef {
-        name: "sim.pool.alloc_misses",
-        kind: C,
-        help: "packet-buffer requests that allocated because the pool's size class was empty",
-    },
-    MetricDef {
-        name: "sim.pool.discarded",
-        kind: C,
-        help: "dropped buffers released to the allocator (class list full or unpoolable size)",
-    },
-    MetricDef {
-        name: "sim.pool.oversize",
-        kind: C,
-        help: "buffer requests above the largest pool class, served unpooled",
-    },
-    MetricDef {
-        name: "sim.pool.recycled",
-        kind: C,
-        help: "packet-buffer requests served by a recycled buffer (no allocation)",
-    },
-    MetricDef {
-        name: "sim.pool.returned",
-        kind: C,
-        help: "dropped buffers recycled into the pool's free lists",
-    },
-    MetricDef {
-        name: "tcp.fast_retransmits",
-        kind: C,
-        help: "TCP retransmissions triggered by triple duplicate ACKs",
-    },
-    MetricDef {
-        name: "tcp.retransmits",
-        kind: C,
-        help: "TCP segments retransmitted on RTO",
-    },
-];
+    /// Emitting layer (the Chrome-trace track).
+    #[inline]
+    pub const fn layer(self) -> Layer {
+        self.layer
+    }
+}
 
-/// Every trace stage/instant name the workspace may emit, sorted by name.
-pub const STAGES: &[StageDef] = &[
-    StageDef {
-        name: "bottom_half",
-        layers: &[Layer::Os],
-        help: "bottom-half run delivering frames to a protocol module",
-    },
-    StageDef {
-        name: "clic_module_rx",
-        layers: &[Layer::Clic],
-        help: "CLIC_MODULE receive processing",
-    },
-    StageDef {
-        name: "clic_module_tx",
-        layers: &[Layer::Clic],
-        help: "CLIC_MODULE send path: header composition + SK_BUFF build",
-    },
-    StageDef {
-        name: "copy_to_user",
-        layers: &[Layer::Clic],
-        help: "final copy from kernel staging into user memory",
-    },
-    StageDef {
-        name: "driver_rx",
-        layers: &[Layer::Os],
-        help: "driver IRQ routine moving frames NIC -> system memory",
-    },
-    StageDef {
-        name: "driver_tx",
-        layers: &[Layer::Os],
-        help: "hard_start_xmit handing an SK_BUFF to the NIC",
-    },
-    StageDef {
-        name: "drop.backlog",
-        layers: &[Layer::Clic],
-        help: "packet dropped: receive backlog full",
-    },
-    StageDef {
-        name: "drop.duplicate",
-        layers: &[Layer::Clic],
-        help: "packet dropped: already delivered",
-    },
-    StageDef {
-        name: "drop.expired",
-        layers: &[Layer::Clic],
-        help: "buffered receive state expired after prolonged peer silence",
-    },
-    StageDef {
-        name: "drop.fcs",
-        layers: &[Layer::Hw],
-        help: "frame dropped: FCS check failed at the NIC",
-    },
-    StageDef {
-        name: "drop.ooo",
-        layers: &[Layer::Clic],
-        help: "packet dropped: out-of-order buffer full",
-    },
-    StageDef {
-        name: "drop.rx_no_buffer",
-        layers: &[Layer::Hw],
-        help: "frame dropped: NIC RX ring full",
-    },
-    StageDef {
-        name: "drop.stale_epoch",
-        layers: &[Layer::Clic],
-        help: "packet dropped: stamped with a previous session epoch",
-    },
-    StageDef {
-        name: "ecn_echo",
-        layers: &[Layer::Clic],
-        help: "sender processed an ACK echoing a congestion mark",
-    },
-    StageDef {
-        name: "fast_retransmit",
-        layers: &[Layer::Clic, Layer::TcpIp],
-        help: "duplicate-ACK-triggered retransmission",
-    },
-    StageDef {
-        name: "flow_fail",
-        layers: &[Layer::Clic],
-        help: "flow torn down: retries exhausted, peer dead or stale epoch",
-    },
-    StageDef {
-        name: "ip_rx",
-        layers: &[Layer::TcpIp],
-        help: "IPv4 receive: checksum, reassembly, demux",
-    },
-    StageDef {
-        name: "ip_tx",
-        layers: &[Layer::TcpIp],
-        help: "IPv4 send: header build + fragmentation",
-    },
-    StageDef {
-        name: "keepalive",
-        layers: &[Layer::Clic],
-        help: "keepalive probe sent on a silent flow",
-    },
-    StageDef {
-        name: "link_drop",
-        layers: &[Layer::Eth],
-        help: "frame lost on the wire (fault injection/outage)",
-    },
-    StageDef {
-        name: "mpi_recv",
-        layers: &[Layer::Mpi],
-        help: "MPI receive: matching + completion",
-    },
-    StageDef {
-        name: "mpi_send",
-        layers: &[Layer::Mpi],
-        help: "MPI send: eager or rendezvous initiation",
-    },
-    StageDef {
-        name: "nic_coll_down",
-        layers: &[Layer::Hw],
-        help: "NIC collective engine: release/result distributed down the tree",
-    },
-    StageDef {
-        name: "nic_coll_up",
-        layers: &[Layer::Hw],
-        help: "NIC collective engine: arrival/partial combined up the tree",
-    },
-    StageDef {
-        name: "nic_rx_dma",
-        layers: &[Layer::Hw],
-        help: "NIC bus-master DMA of a received frame over PCI",
-    },
-    StageDef {
-        name: "nic_tx_dma",
-        layers: &[Layer::Hw],
-        help: "NIC bus-master DMA gather of a frame for transmit",
-    },
-    StageDef {
-        name: "rto",
-        layers: &[Layer::Clic, Layer::TcpIp],
-        help: "retransmission timeout fired",
-    },
-    StageDef {
-        name: "staged_copy",
-        layers: &[Layer::Clic],
-        help: "1-copy send staging into a kernel bounce buffer",
-    },
-    StageDef {
-        name: "switch_drop",
-        layers: &[Layer::Eth],
-        help: "frame tail-dropped at a switch output queue",
-    },
-    StageDef {
-        name: "switch_mark",
-        layers: &[Layer::Eth],
-        help: "frame stamped congestion-experienced at a switch output queue",
-    },
-    StageDef {
-        name: "syscall",
-        layers: &[Layer::Os],
-        help: "system-call entry/exit around a send or receive",
-    },
-    StageDef {
-        name: "tcp_tx",
-        layers: &[Layer::TcpIp],
-        help: "TCP send: segmentation, checksum, window bookkeeping",
-    },
-    StageDef {
-        name: "wire",
-        layers: &[Layer::Eth],
-        help: "frame serialization + propagation on a link",
-    },
-];
+/// Declares one `pub const` [`Metric`] per row (its doc comment is the
+/// help text) and the [`METRICS`] table in the same order.
+macro_rules! metrics {
+    ($(#[doc = $help:literal] $handle:ident = $name:literal, [$($sink:ident),+];)+) => {
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms, dead_code)]
+        #[repr(u16)]
+        enum Slot { $($handle),+ }
+
+        $(
+            #[doc = $help]
+            pub const $handle: Metric = Metric(Slot::$handle as u16);
+        )+
+
+        /// Every metric, in slot (= name) order.
+        pub const METRICS: &[MetricDef] = &[$(MetricDef {
+            name: $name,
+            sinks: Sinks(0 $(| Sinks::$sink.0)+),
+            help: $help.trim_ascii_start(),
+        }),+];
+    };
+}
+
+/// Declares one `pub const` [`Stage`] per row (its doc comment is the
+/// help text) and the [`STAGES`] table in the same order.
+macro_rules! stages {
+    ($(#[doc = $help:literal] $handle:ident = $name:literal, $layer:ident;)+) => {
+        $(
+            #[doc = $help]
+            pub const $handle: Stage = Stage { name: $name, layer: Layer::$layer };
+        )+
+
+        /// Every stage, sorted by `(name, layer)`.
+        pub const STAGES: &[Stage] = &[$($handle),+];
+    };
+}
+
+metrics! {
+    /// per-flow congestion window after the latest update, packets
+    CLIC_CWND = "clic.cwnd", [GAUGE, LEVEL];
+    /// packets dropped because the receive backlog was full
+    CLIC_DROPS_BACKLOG = "clic.drops.backlog", [COUNTER];
+    /// already-delivered packets dropped (sender missed an ACK)
+    CLIC_DROPS_DUPLICATE = "clic.drops.duplicate", [COUNTER];
+    /// buffered receive state discarded after peer-silence expiry
+    CLIC_DROPS_EXPIRED = "clic.drops.expired", [COUNTER];
+    /// packets dropped because the out-of-order buffer was full
+    CLIC_DROPS_OOO = "clic.drops.ooo", [COUNTER];
+    /// packets dropped for carrying a previous session epoch
+    CLIC_DROPS_STALE_EPOCH = "clic.drops.stale_epoch", [COUNTER];
+    /// ACKs carrying a congestion-mark echo, processed by senders
+    CLIC_ECN_ECHOES = "clic.ecn_echoes", [COUNTER];
+    /// effective send window after peer advertisement, packets (timeline only)
+    CLIC_EFFECTIVE_WINDOW = "clic.effective_window", [LEVEL];
+    /// retransmissions triggered by duplicate ACKs
+    CLIC_FAST_RETRANSMITS = "clic.fast_retransmits", [COUNTER];
+    /// flows torn down by any error (sum of the per-cause splits)
+    CLIC_FLOW_FAILURES = "clic.flow_failures", [COUNTER];
+    /// flows torn down after exhausting retransmission retries
+    CLIC_FLOW_FAILURES_MAX_RETRIES = "clic.flow_failures.max_retries", [COUNTER];
+    /// flows torn down after keepalive declared the peer dead
+    CLIC_FLOW_FAILURES_PEER_DEAD = "clic.flow_failures.peer_dead", [COUNTER];
+    /// flows torn down because the peer restarted into a new epoch
+    CLIC_FLOW_FAILURES_STALE_EPOCH = "clic.flow_failures.stale_epoch", [COUNTER];
+    /// payload bytes sent but not yet acknowledged (timeline only)
+    CLIC_INFLIGHT_BYTES = "clic.inflight_bytes", [LEVEL];
+    /// keepalive probe packets sent on silent flows
+    CLIC_KEEPALIVE_PROBES = "clic.keepalive_probes", [COUNTER];
+    /// per-message payload size offered to clic_send
+    CLIC_MSG_BYTES = "clic.msg_bytes", [HISTOGRAM];
+    /// messages delivered to receiving ports
+    CLIC_MSGS_RECEIVED = "clic.msgs_received", [COUNTER];
+    /// messages accepted from sending processes
+    CLIC_MSGS_SENT = "clic.msgs_sent", [COUNTER];
+    /// CLIC data packets received
+    CLIC_PACKETS_RECEIVED = "clic.packets_received", [COUNTER];
+    /// CLIC data packets sent (including retransmissions)
+    CLIC_PACKETS_SENT = "clic.packets_sent", [COUNTER];
+    /// receive-side buffered bytes charged against the budget (also a timeline level)
+    CLIC_RECV_BUFFER_BYTES = "clic.recv_buffer_bytes", [GAUGE, LEVEL];
+    /// packets retransmitted (timeout or duplicate-ACK driven)
+    CLIC_RETRANSMITS = "clic.retransmits", [COUNTER];
+    /// smoothed RTT variance samples feeding the adaptive RTO, ns
+    CLIC_RTTVAR = "clic.rttvar", [HISTOGRAM];
+    /// per-flow slow-start threshold after the latest update, packets
+    CLIC_SSTHRESH = "clic.ssthresh", [GAUGE, LEVEL];
+    /// 1-copy sends staged through a kernel bounce buffer
+    CLIC_STAGED_COPIES = "clic.staged_copies", [COUNTER];
+    /// frames corrupted in flight by fault injection
+    ETH_CORRUPT = "eth.corrupt", [COUNTER];
+    /// frames duplicated in flight by fault injection
+    ETH_DUPLICATES = "eth.duplicates", [COUNTER];
+    /// flood copies suppressed by the loop-free flood membership
+    ETH_FABRIC_FLOOD_PRUNED = "eth.fabric.flood_pruned", [COUNTER];
+    /// frames forwarded out switch-to-switch trunk ports
+    ETH_FABRIC_TRUNK_TX_FRAMES = "eth.fabric.trunk_tx_frames", [COUNTER];
+    /// on-wire frame sizes, bytes
+    ETH_LINK_FRAME_BYTES = "eth.link.frame_bytes", [HISTOGRAM];
+    /// frames lost in flight (fault injection or outage)
+    ETH_LINK_FRAMES_LOST = "eth.link.frames_lost", [COUNTER];
+    /// on-wire bytes offered to links (timeline rate only)
+    ETH_LINK_TX_BYTES = "eth.link.tx_bytes", [RATE];
+    /// frames reordered in flight by fault injection
+    ETH_REORDERS = "eth.reorders", [COUNTER];
+    /// frames tail-dropped at a full switch output queue
+    ETH_SWITCH_DROPS = "eth.switch.drops", [COUNTER];
+    /// frames stamped congestion-experienced at a switch output queue
+    ETH_SWITCH_ECN_MARKS = "eth.switch.ecn_marks", [COUNTER, RATE];
+    /// switch lifetime tail-drop total (per-run export)
+    ETH_SWITCH_FRAMES_DROPPED = "eth.switch.frames_dropped", [COUNTER];
+    /// frames flooded to all ports (broadcast/multicast/unknown)
+    ETH_SWITCH_FRAMES_FLOODED = "eth.switch.frames_flooded", [COUNTER];
+    /// frames forwarded to a learned port
+    ETH_SWITCH_FRAMES_FORWARDED = "eth.switch.frames_forwarded", [COUNTER];
+    /// output-queue depth at each enqueue, frames: live level, distribution and timeline
+    ETH_SWITCH_QUEUE_DEPTH = "eth.switch.queue_depth", [GAUGE, HISTOGRAM, LEVEL];
+    /// per-copy sizes through the memory bus, bytes
+    HW_MEM_COPY_BYTES = "hw.mem.copy_bytes", [HISTOGRAM];
+    /// collective operations completed by the NIC-resident engine
+    HW_NIC_COLL_COMPLETIONS = "hw.nic.coll.completions", [COUNTER];
+    /// collective control frames consumed by the NIC engine (no host IRQ)
+    HW_NIC_COLL_MSGS_RX = "hw.nic.coll.msgs_rx", [COUNTER];
+    /// collective control frames emitted by the NIC engine
+    HW_NIC_COLL_MSGS_TX = "hw.nic.coll.msgs_tx", [COUNTER];
+    /// interrupts raised by the NIC (after coalescing)
+    HW_NIC_IRQS = "hw.nic.irqs", [COUNTER];
+    /// received frames discarded by the FCS check
+    HW_NIC_RX_FCS_ERRORS = "hw.nic.rx_fcs_errors", [COUNTER];
+    /// frames accepted into the RX ring
+    HW_NIC_RX_FRAMES = "hw.nic.rx_frames", [COUNTER];
+    /// frames dropped because the RX ring was full
+    HW_NIC_RX_NO_BUFFER = "hw.nic.rx_no_buffer", [COUNTER];
+    /// payload bytes transmitted by the NIC (timeline rate only)
+    HW_NIC_TX_BYTES = "hw.nic.tx_bytes", [RATE];
+    /// frames transmitted from the TX ring
+    HW_NIC_TX_FRAMES = "hw.nic.tx_frames", [COUNTER];
+    /// TX descriptor posts rejected by a full ring
+    HW_NIC_TX_RING_FULL = "hw.nic.tx_ring_full", [COUNTER];
+    /// per-transaction DMA sizes over the PCI bus, bytes; also the timeline byte rate
+    HW_PCI_DMA_BYTES = "hw.pci.dma_bytes", [HISTOGRAM, RATE];
+    /// MPI message payload sizes, bytes
+    MPI_MSG_BYTES = "mpi.msg_bytes", [HISTOGRAM];
+    /// MPI receives completed
+    MPI_RECVS = "mpi.recvs", [COUNTER];
+    /// MPI sends initiated
+    MPI_SENDS = "mpi.sends", [COUNTER];
+    /// bottom-half executions
+    OS_BOTTOM_HALVES = "os.bottom_halves", [COUNTER];
+    /// process context switches
+    OS_CONTEXT_SWITCHES = "os.context_switches", [COUNTER];
+    /// frames handed from the driver to protocol handlers
+    OS_FRAMES_RECEIVED = "os.frames_received", [COUNTER];
+    /// interrupt entries into the kernel
+    OS_IRQS = "os.irqs", [COUNTER];
+    /// GAMMA-style lightweight system calls
+    OS_LIGHTWEIGHT_CALLS = "os.lightweight_calls", [COUNTER];
+    /// full system calls (0.65 us each, paper section 3.1)
+    OS_SYSCALLS = "os.syscalls", [COUNTER];
+    /// packet-buffer requests that allocated because the pool's size class was empty
+    SIM_POOL_ALLOC_MISSES = "sim.pool.alloc_misses", [COUNTER];
+    /// dropped buffers released to the allocator (class list full or unpoolable size)
+    SIM_POOL_DISCARDED = "sim.pool.discarded", [COUNTER];
+    /// buffer requests above the largest pool class, served unpooled
+    SIM_POOL_OVERSIZE = "sim.pool.oversize", [COUNTER];
+    /// packet-buffer requests served by a recycled buffer (no allocation)
+    SIM_POOL_RECYCLED = "sim.pool.recycled", [COUNTER];
+    /// dropped buffers recycled into the pool's free lists
+    SIM_POOL_RETURNED = "sim.pool.returned", [COUNTER];
+    /// TCP retransmissions triggered by triple duplicate ACKs
+    TCP_FAST_RETRANSMITS = "tcp.fast_retransmits", [COUNTER];
+    /// TCP segments retransmitted on RTO
+    TCP_RETRANSMITS = "tcp.retransmits", [COUNTER];
+}
+
+stages! {
+    /// bottom-half run delivering frames to a protocol module
+    BOTTOM_HALF = "bottom_half", Os;
+    /// CLIC_MODULE receive processing
+    CLIC_MODULE_RX = "clic_module_rx", Clic;
+    /// CLIC_MODULE send path: header composition + SK_BUFF build
+    CLIC_MODULE_TX = "clic_module_tx", Clic;
+    /// final copy from kernel staging into user memory
+    COPY_TO_USER = "copy_to_user", Clic;
+    /// driver IRQ routine moving frames NIC -> system memory
+    DRIVER_RX = "driver_rx", Os;
+    /// hard_start_xmit handing an SK_BUFF to the NIC
+    DRIVER_TX = "driver_tx", Os;
+    /// packet dropped: receive backlog full
+    DROP_BACKLOG = "drop.backlog", Clic;
+    /// packet dropped: already delivered
+    DROP_DUPLICATE = "drop.duplicate", Clic;
+    /// buffered receive state expired after prolonged peer silence
+    DROP_EXPIRED = "drop.expired", Clic;
+    /// frame dropped: FCS check failed at the NIC
+    DROP_FCS = "drop.fcs", Hw;
+    /// packet dropped: out-of-order buffer full
+    DROP_OOO = "drop.ooo", Clic;
+    /// frame dropped: NIC RX ring full
+    DROP_RX_NO_BUFFER = "drop.rx_no_buffer", Hw;
+    /// packet dropped: stamped with a previous session epoch
+    DROP_STALE_EPOCH = "drop.stale_epoch", Clic;
+    /// sender processed an ACK echoing a congestion mark
+    ECN_ECHO = "ecn_echo", Clic;
+    /// duplicate-ACK-triggered retransmission
+    FAST_RETRANSMIT_CLIC = "fast_retransmit", Clic;
+    /// duplicate-ACK-triggered retransmission
+    FAST_RETRANSMIT_TCPIP = "fast_retransmit", TcpIp;
+    /// flow torn down: retries exhausted, peer dead or stale epoch
+    FLOW_FAIL = "flow_fail", Clic;
+    /// IPv4 receive: checksum, reassembly, demux
+    IP_RX = "ip_rx", TcpIp;
+    /// IPv4 send: header build + fragmentation
+    IP_TX = "ip_tx", TcpIp;
+    /// keepalive probe sent on a silent flow
+    KEEPALIVE = "keepalive", Clic;
+    /// frame lost on the wire (fault injection/outage)
+    LINK_DROP = "link_drop", Eth;
+    /// MPI receive: matching + completion
+    MPI_RECV = "mpi_recv", Mpi;
+    /// MPI send: eager or rendezvous initiation
+    MPI_SEND = "mpi_send", Mpi;
+    /// NIC collective engine: release/result distributed down the tree
+    NIC_COLL_DOWN = "nic_coll_down", Hw;
+    /// NIC collective engine: arrival/partial combined up the tree
+    NIC_COLL_UP = "nic_coll_up", Hw;
+    /// NIC bus-master DMA of a received frame over PCI
+    NIC_RX_DMA = "nic_rx_dma", Hw;
+    /// NIC bus-master DMA gather of a frame for transmit
+    NIC_TX_DMA = "nic_tx_dma", Hw;
+    /// retransmission timeout fired
+    RTO_CLIC = "rto", Clic;
+    /// retransmission timeout fired
+    RTO_TCPIP = "rto", TcpIp;
+    /// 1-copy send staging into a kernel bounce buffer
+    STAGED_COPY = "staged_copy", Clic;
+    /// frame tail-dropped at a switch output queue
+    SWITCH_DROP = "switch_drop", Eth;
+    /// frame stamped congestion-experienced at a switch output queue
+    SWITCH_MARK = "switch_mark", Eth;
+    /// system-call entry/exit around a send or receive
+    SYSCALL = "syscall", Os;
+    /// TCP send: segmentation, checksum, window bookkeeping
+    TCP_TX = "tcp_tx", TcpIp;
+    /// frame serialization + propagation on a link
+    WIRE = "wire", Eth;
+}
 
 /// Strip an `n<idx>.` per-node prefix, if present: `n0.clic.retransmits`
 /// normalises to `clic.retransmits`. Names without the prefix pass through
@@ -603,158 +374,6 @@ pub fn strip_node_prefix(name: &str) -> &str {
     }
 }
 
-/// Whether `name` (possibly `n<idx>.`-prefixed) is registered for `kind`.
-pub fn is_metric(name: &str, kind: MetricKind) -> bool {
-    let name = strip_node_prefix(name);
-    METRICS.iter().any(|m| m.name == name && m.kind == kind)
-}
-
-/// Whether `stage` is a registered trace stage/instant name.
-pub fn is_stage(stage: &str) -> bool {
-    STAGES.iter().any(|s| s.name == stage)
-}
-
-// ---------------------------------------------------------------------------
-// Interning
-//
-// Hot recording paths compare u16 catalog indices instead of hashing or
-// comparing `&str` names. Ids are resolved at *compile time* through the
-// `const fn` lookups below (`const TX: MetricId = counter_id("…")`), so an
-// unregistered name at an interned call site fails the build rather than a
-// runtime check; the string-keyed APIs remain for dynamic (per-node
-// prefixed, experiment-local) names and route catalog hits to the interned
-// stores via the runtime `find_*` binary searches.
-
-/// Interned index of a `(name, kind)` entry in [`METRICS`].
-///
-/// Obtain one from [`counter_id`] / [`gauge_id`] / [`histogram_id`] in a
-/// `const` context. Because [`METRICS`] is sorted by `(name, kind)`,
-/// ascending id order is ascending name order, which keeps merged dumps
-/// deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricId(u16);
-
-impl MetricId {
-    /// Position in [`METRICS`].
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The catalog entry this id refers to.
-    pub fn def(self) -> &'static MetricDef {
-        &METRICS[self.0 as usize]
-    }
-}
-
-/// Interned index of an entry in [`STAGES`] (sorted by name).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StageId(u16);
-
-impl StageId {
-    /// Position in [`STAGES`].
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The catalog entry this id refers to.
-    pub fn def(self) -> &'static StageDef {
-        &STAGES[self.0 as usize]
-    }
-}
-
-/// Const-context string equality (`==` on `&str` is not const-stable).
-const fn str_eq(a: &str, b: &str) -> bool {
-    let (a, b) = (a.as_bytes(), b.as_bytes());
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut i = 0;
-    while i < a.len() {
-        if a[i] != b[i] {
-            return false;
-        }
-        i += 1;
-    }
-    true
-}
-
-/// Const-context kind equality (no const `PartialEq` for enums).
-const fn kind_eq(a: MetricKind, b: MetricKind) -> bool {
-    matches!(
-        (a, b),
-        (MetricKind::Counter, MetricKind::Counter)
-            | (MetricKind::Gauge, MetricKind::Gauge)
-            | (MetricKind::Histogram, MetricKind::Histogram)
-    )
-}
-
-const fn metric_id_of(name: &str, kind: MetricKind) -> MetricId {
-    let mut i = 0;
-    while i < METRICS.len() {
-        if kind_eq(METRICS[i].kind, kind) && str_eq(METRICS[i].name, name) {
-            return MetricId(i as u16);
-        }
-        i += 1;
-    }
-    // Evaluated in const context only: an unregistered name at an interned
-    // call site is a compile error, never a runtime panic.
-    // lint:allow(no-unwrap, reason="const-eval guard; interned names are resolved at compile time")
-    panic!("metric name not registered in crates/sim/src/catalog.rs METRICS")
-}
-
-/// Compile-time id of a registered counter; unregistered names fail the
-/// build. Use as `const X: MetricId = counter_id("…");`.
-pub const fn counter_id(name: &str) -> MetricId {
-    metric_id_of(name, MetricKind::Counter)
-}
-
-/// Compile-time id of a registered gauge; unregistered names fail the
-/// build.
-pub const fn gauge_id(name: &str) -> MetricId {
-    metric_id_of(name, MetricKind::Gauge)
-}
-
-/// Compile-time id of a registered histogram; unregistered names fail the
-/// build.
-pub const fn histogram_id(name: &str) -> MetricId {
-    metric_id_of(name, MetricKind::Histogram)
-}
-
-/// Compile-time id of a registered trace stage; unregistered names fail
-/// the build. Use as `const S: StageId = stage_id("…");`.
-pub const fn stage_id(name: &str) -> StageId {
-    let mut i = 0;
-    while i < STAGES.len() {
-        if str_eq(STAGES[i].name, name) {
-            return StageId(i as u16);
-        }
-        i += 1;
-    }
-    // lint:allow(no-unwrap, reason="const-eval guard; interned names are resolved at compile time")
-    panic!("stage name not registered in crates/sim/src/catalog.rs STAGES")
-}
-
-/// Runtime id lookup for an exact (unprefixed) catalog name — binary
-/// search over the `(name, kind)`-sorted table. The string-keyed
-/// [`crate::metrics::Metrics`] APIs use this to route catalog names into
-/// the interned stores.
-pub fn find_metric(name: &str, kind: MetricKind) -> Option<MetricId> {
-    METRICS
-        .binary_search_by(|m| (m.name, m.kind).cmp(&(name, kind)))
-        .ok()
-        .map(|i| MetricId(i as u16))
-}
-
-/// Runtime id lookup for an exact stage name (binary search).
-pub fn find_stage(name: &str) -> Option<StageId> {
-    STAGES
-        .binary_search_by(|s| s.name.cmp(name))
-        .ok()
-        .map(|i| StageId(i as u16))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,16 +382,109 @@ mod tests {
     fn tables_are_sorted_and_unique() {
         for w in METRICS.windows(2) {
             assert!(
-                (w[0].name, w[0].kind) < (w[1].name, w[1].kind),
+                w[0].name < w[1].name,
                 "METRICS out of order or duplicated at {:?}",
                 w[1].name
             );
         }
         for w in STAGES.windows(2) {
             assert!(
-                w[0].name < w[1].name,
+                (w[0].name, w[0].layer) < (w[1].name, w[1].layer),
                 "STAGES out of order or duplicated at {:?}",
                 w[1].name
+            );
+        }
+    }
+
+    #[test]
+    fn ascending_id_order_is_ascending_name_order() {
+        // The dump, the timeline CSV and its counter tracks list series
+        // in slot order without sorting.
+        let handles: Vec<Metric> = Metric::all().collect();
+        for w in handles.windows(2) {
+            assert!(w[0] < w[1] && w[0].name() < w[1].name());
+        }
+        assert_eq!(handles.len(), METRICS.len());
+    }
+
+    #[test]
+    fn interned_ids_resolve_at_compile_time() {
+        const NAME: &str = CLIC_RETRANSMITS.name();
+        const SINKS: Sinks = ETH_SWITCH_QUEUE_DEPTH.sinks();
+        assert_eq!(NAME, "clic.retransmits");
+        assert!(SINKS.has(Sinks::GAUGE) && SINKS.has(Sinks::HISTOGRAM));
+        assert_eq!(
+            CLIC_RETRANSMITS.help(),
+            "packets retransmitted (timeout or duplicate-ACK driven)"
+        );
+        const STAGE: (&str, Layer) = (WIRE.name(), WIRE.layer());
+        assert_eq!(STAGE, ("wire", Layer::Eth));
+    }
+
+    #[test]
+    fn lookup_respects_kind() {
+        let s = CLIC_RETRANSMITS.sinks();
+        assert!(s.has(Sinks::COUNTER) && !s.has(Sinks::GAUGE) && !s.has(Sinks::LEVEL));
+        // One name, several sinks.
+        let q = ETH_SWITCH_QUEUE_DEPTH.sinks();
+        assert!(q.has(Sinks::GAUGE) && q.has(Sinks::HISTOGRAM) && q.has(Sinks::LEVEL));
+        let d = HW_PCI_DMA_BYTES.sinks();
+        assert!(d.has(Sinks::HISTOGRAM) && d.has(Sinks::RATE) && !d.has(Sinks::COUNTER));
+        // Timeline-only handles reach no registry sink.
+        let w = CLIC_EFFECTIVE_WINDOW.sinks();
+        assert!(w.has(Sinks::LEVEL) && !w.has(Sinks::GAUGE));
+    }
+
+    #[test]
+    fn stage_lookup() {
+        assert_eq!(
+            (DRIVER_RX.name(), DRIVER_RX.layer()),
+            ("driver_rx", Layer::Os)
+        );
+        assert_eq!((DROP_FCS.name(), DROP_FCS.layer()), ("drop.fcs", Layer::Hw));
+        // Stages emitted from two layers get one handle per layer.
+        assert_eq!(RTO_CLIC.name(), RTO_TCPIP.name());
+        assert_eq!(
+            (RTO_CLIC.layer(), RTO_TCPIP.layer()),
+            (Layer::Clic, Layer::TcpIp)
+        );
+        assert!(STAGES.contains(&FAST_RETRANSMIT_TCPIP));
+    }
+
+    #[test]
+    fn runtime_lookup_matches_const_lookup() {
+        // Reading a registry by name finds the series the handle wrote.
+        for m in Metric::all() {
+            let mut reg = crate::metrics::Metrics::enabled();
+            reg.record(m, 3);
+            let s = m.sinks();
+            assert_eq!(
+                reg.counter(m.name()) == 3,
+                s.has(Sinks::COUNTER),
+                "{}",
+                m.name()
+            );
+            assert_eq!(reg.max_gauge_peak(m.name()) == 3, s.has(Sinks::GAUGE));
+            assert_eq!(reg.histogram(m.name()).is_some(), s.has(Sinks::HISTOGRAM));
+        }
+        assert_eq!(crate::metrics::Metrics::enabled().counter("made.up"), 0);
+    }
+
+    #[test]
+    fn sink_sets_are_consistent() {
+        for m in Metric::all() {
+            let s = m.sinks();
+            // A registry slot holds one value: a counter total or a level.
+            assert!(
+                !(s.has(Sinks::COUNTER) && s.has(Sinks::GAUGE)),
+                "{} is both a counter and a gauge",
+                m.name()
+            );
+            // A handle names at most one timeline series.
+            assert!(
+                !(s.has(Sinks::LEVEL) && s.has(Sinks::RATE)),
+                "{} is both a timeline level and a rate",
+                m.name()
             );
         }
     }
@@ -785,58 +497,5 @@ mod tests {
         assert_eq!(strip_node_prefix("nic.rx"), "nic.rx");
         assert_eq!(strip_node_prefix("n.x"), "n.x");
         assert_eq!(strip_node_prefix("n0"), "n0");
-    }
-
-    #[test]
-    fn lookup_respects_kind() {
-        assert!(is_metric("clic.retransmits", MetricKind::Counter));
-        assert!(!is_metric("clic.retransmits", MetricKind::Gauge));
-        assert!(is_metric("eth.switch.queue_depth", MetricKind::Gauge));
-        assert!(is_metric("eth.switch.queue_depth", MetricKind::Histogram));
-        assert!(is_metric("n1.clic.retransmits", MetricKind::Counter));
-        assert!(!is_metric("made.up", MetricKind::Counter));
-    }
-
-    #[test]
-    fn stage_lookup() {
-        assert!(is_stage("driver_rx"));
-        assert!(is_stage("drop.fcs"));
-        assert!(!is_stage("made_up"));
-    }
-
-    #[test]
-    fn interned_ids_resolve_at_compile_time() {
-        const RETX: MetricId = counter_id("clic.retransmits");
-        const QDEPTH_G: MetricId = gauge_id("eth.switch.queue_depth");
-        const QDEPTH_H: MetricId = histogram_id("eth.switch.queue_depth");
-        const WIRE: StageId = stage_id("wire");
-        assert_eq!(RETX.def().name, "clic.retransmits");
-        assert_eq!(QDEPTH_G.def().kind, MetricKind::Gauge);
-        assert_eq!(QDEPTH_H.def().kind, MetricKind::Histogram);
-        assert_ne!(QDEPTH_G, QDEPTH_H);
-        assert_eq!(WIRE.def().name, "wire");
-    }
-
-    #[test]
-    fn runtime_lookup_matches_const_lookup() {
-        for (i, m) in METRICS.iter().enumerate() {
-            let id = find_metric(m.name, m.kind).expect("every entry resolves");
-            assert_eq!(id.index(), i);
-        }
-        for (i, s) in STAGES.iter().enumerate() {
-            let id = find_stage(s.name).expect("every entry resolves");
-            assert_eq!(id.index(), i);
-        }
-        assert!(find_metric("made.up", MetricKind::Counter).is_none());
-        assert!(find_metric("clic.retransmits", MetricKind::Gauge).is_none());
-        assert!(find_stage("made_up").is_none());
-    }
-
-    #[test]
-    fn ascending_id_order_is_ascending_name_order() {
-        // The dump merge-join relies on this.
-        for w in METRICS.windows(2) {
-            assert!(w[0].name <= w[1].name);
-        }
     }
 }

@@ -26,6 +26,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::catalog::Metric;
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -150,6 +151,16 @@ impl Sim {
     /// its report.
     pub fn take_probe(&mut self) -> Option<Box<dyn EngineProbe>> {
         self.probe.take()
+    }
+
+    /// Record `v` on metric `m`: the value goes to every sink the handle
+    /// declares that is enabled — the registry's counter, gauge or
+    /// histogram in [`Sim::metrics`] and a level or rate series in
+    /// [`Sim::timeline`].
+    #[inline]
+    pub fn record(&mut self, m: Metric, v: u64) {
+        self.metrics.record(m, v);
+        self.timeline.record(self.now, m, v);
     }
 
     /// Current virtual time.

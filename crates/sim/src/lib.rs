@@ -9,17 +9,17 @@
 //! * [`SerialResource`] — a FIFO bus resource (PCI, memory bus),
 //! * [`SimRng`] — a seeded, reproducible random source,
 //! * [`stats`] — sample-exact latency and throughput measurement,
-//! * [`metrics`] — the per-run registry of named counters, gauges and
-//!   log-bucketed histograms (plain-text dump exporter),
+//! * [`metrics`] — the per-run registry of catalogued counters, gauges
+//!   and log-bucketed histograms (plain-text dump exporter),
 //! * [`trace`] — cross-layer span/event tracing with a Chrome trace-event
 //!   JSON exporter (used to regenerate the paper's Figure 7 timing
 //!   breakdown, and to trace any packet through the full pipeline),
 //! * [`timeseries`] — the deterministic timeline recorder bucketing
-//!   catalogued gauges/counters over simulated time (CSV dump plus
+//!   catalogued levels and rates over simulated time (CSV dump plus
 //!   Perfetto counter tracks),
-//! * [`catalog`] — the central registry of every metric and trace-stage
-//!   name; consumed at runtime by [`Metrics::uncataloged`] /
-//!   [`Trace::uncataloged_stages`] and statically by `clic-analyze`.
+//! * [`catalog`] — one typed handle per metric and trace-stage name; a
+//!   metric handle's sink set decides where [`Sim::record`] sends a
+//!   value.
 //!
 //! A simulation is single-threaded; components are shared as
 //! `Rc<RefCell<T>>` and captured by the event closures. Parameter sweeps run
@@ -42,7 +42,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use catalog::{MetricId, MetricKind, StageId};
+pub use catalog::{Metric, Sinks, Stage};
 pub use engine::{Action, ActionArm, EngineProbe, Sim};
 pub use metrics::{LogHistogram, Metrics};
 pub use resource::{Cpu, CpuClass, SerialResource};

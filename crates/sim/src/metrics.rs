@@ -1,44 +1,19 @@
-//! Per-run metrics registry: named counters, gauges and log-bucketed
-//! histograms.
+//! Per-run metrics registry: catalogued counters, gauges and
+//! log-bucketed histograms.
 //!
-//! Components record into [`Metrics`] through stable dotted names
-//! (`"clic.retransmits"`, `"eth.switch.queue_depth"`); the experiment layer
-//! reads them back by name or dumps the whole registry as deterministic
-//! plain text. Recording is passive — it never schedules events or touches
-//! the RNG — so enabling metrics cannot change simulation results.
+//! Components record through typed [`Metric`] handles (usually via
+//! [`crate::Sim::record`], which also feeds the timeline). Each handle
+//! owns one slot, so a record is a vector index. The experiment layer
+//! reads values back by handle or by name, or dumps the whole registry as
+//! deterministic plain text. Recording is passive — it never schedules
+//! events or touches the RNG — so enabling metrics cannot change
+//! simulation results.
 //!
 //! The registry is off by default; every recording call returns after one
 //! branch when disabled.
-//!
-//! # Interned fast path
-//!
-//! Names registered in the central [`crate::catalog`] can be recorded
-//! through [`MetricId`]s ([`Metrics::counter_add_id`] and friends): a
-//! plain vector index instead of a string hash/compare and allocation per
-//! record. The string-keyed APIs transparently route exact catalog names
-//! into the same interned stores (so both paths observe one series), and
-//! keep a `BTreeMap` fallback for dynamic names (per-node `n<idx>.`
-//! prefixes, experiment-local scratch). Reads and [`Metrics::dump`]
-//! merge-join the two stores in name order — ascending [`MetricId`] order
-//! is ascending name order — so output is byte-identical to the
-//! all-string implementation.
 
-use crate::catalog::{self, MetricId, MetricKind, METRICS};
+use crate::catalog::{strip_node_prefix, Metric, Sinks, METRICS};
 use std::collections::BTreeMap;
-
-/// Whether `name` equals `suffix`, or ends with it immediately after a
-/// `.` separator. Suffix aggregation ([`Metrics::sum_counters`],
-/// [`Metrics::max_gauge_peak`]) matches only at dotted-segment
-/// boundaries: `retransmits` binds to `n1.clic.retransmits` but never to
-/// `clic.fast_retransmits`, whose trailing segment merely *contains* it.
-fn suffix_at_segment_boundary(name: &str, suffix: &str) -> bool {
-    if name.len() == suffix.len() {
-        return name == suffix;
-    }
-    name.len() > suffix.len()
-        && name.ends_with(suffix)
-        && name.as_bytes()[name.len() - suffix.len() - 1] == b'.'
-}
 
 /// Log-bucketed histogram of `u64` values (latencies in ns, sizes in
 /// bytes, queue depths).
@@ -214,32 +189,34 @@ impl Default for LogHistogram {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Gauge {
-    current: i64,
-    peak: i64,
+/// The registry state of one catalogued [`Metric`].
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Slot {
+    /// Whether the handle was ever recorded (a counter recorded with 0
+    /// is still listed).
+    touched: bool,
+    /// Counter total or gauge level (no handle is both).
+    value: u64,
+    /// Gauge peak.
+    peak: u64,
+    histogram: Option<LogHistogram>,
 }
 
 /// The per-run metrics registry.
 ///
-/// One instance lives on every [`crate::Sim`] (`sim.metrics`); experiment
-/// layers may also build standalone registries (e.g. one per node) and
-/// [`Metrics::merge`] them. All maps are `BTreeMap`s, so iteration order —
-/// and therefore [`Metrics::dump`] output — is deterministic.
+/// One instance lives on every [`crate::Sim`] (`sim.metrics`). Besides
+/// the one slot per catalogued handle, it holds per-node counter
+/// snapshots ([`Metrics::record_node`]) that read and dump as
+/// `n<idx>.<name>`. Every listing is in name order, so [`Metrics::dump`]
+/// is deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     enabled: bool,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, LogHistogram>,
-    /// Interned stores, indexed by [`MetricId`]; sized to `METRICS.len()`
-    /// on [`Metrics::enabled`] (empty on a disabled registry).
-    fast_counters: Vec<u64>,
-    fast_gauges: Vec<Gauge>,
-    fast_histograms: Vec<Option<LogHistogram>>,
-    /// Whether the id was ever recorded (distinguishes "counter at 0"
-    /// from "never touched" so dumps stay identical to the map path).
-    fast_touched: Vec<bool>,
+    /// Indexed by [`Metric::slot`]; sized to the catalog when enabled.
+    slots: Vec<Slot>,
+    /// Per-node counter snapshots keyed by `(node, handle)`, each with
+    /// its `n<idx>.` display name.
+    nodes: BTreeMap<(u32, Metric), (String, u64)>,
 }
 
 impl Metrics {
@@ -250,22 +227,10 @@ impl Metrics {
 
     /// A recording registry.
     pub fn enabled() -> Self {
-        let mut m = Metrics {
+        Metrics {
             enabled: true,
-            ..Metrics::default()
-        };
-        m.ensure_fast();
-        m
-    }
-
-    /// Size the interned stores to the catalog (idempotent).
-    fn ensure_fast(&mut self) {
-        let n = METRICS.len();
-        if self.fast_counters.len() < n {
-            self.fast_counters.resize(n, 0);
-            self.fast_gauges.resize(n, Gauge::default());
-            self.fast_histograms.resize(n, None);
-            self.fast_touched.resize(n, false);
+            slots: vec![Slot::default(); METRICS.len()],
+            nodes: BTreeMap::new(),
         }
     }
 
@@ -274,285 +239,108 @@ impl Metrics {
         self.enabled
     }
 
-    /// Add `by` to the interned counter `id` — the allocation-free hot
-    /// path for catalog names (see [`crate::catalog::counter_id`]).
+    /// Send `v` to each registry sink `m` declares: a counter adds it, a
+    /// gauge takes it as its level (tracking the peak), a histogram
+    /// records it. Timeline sinks are the
+    /// [`crate::timeseries::TimelineRecorder`]'s business.
     #[inline]
-    pub fn counter_add_id(&mut self, id: MetricId, by: u64) {
+    pub fn record(&mut self, m: Metric, v: u64) {
         if !self.enabled {
             return;
         }
-        let i = id.index();
-        self.fast_counters[i] += by;
-        self.fast_touched[i] = true;
+        let sinks = m.sinks();
+        let slot = &mut self.slots[m.slot()];
+        slot.touched = true;
+        if sinks.has(Sinks::COUNTER) {
+            slot.value += v;
+        }
+        if sinks.has(Sinks::GAUGE) {
+            slot.value = v;
+            slot.peak = slot.peak.max(v);
+        }
+        if sinks.has(Sinks::HISTOGRAM) {
+            slot.histogram
+                .get_or_insert_with(LogHistogram::new)
+                .record(v);
+        }
     }
 
-    /// Add one to the interned counter `id`.
-    #[inline]
-    pub fn counter_inc_id(&mut self, id: MetricId) {
-        self.counter_add_id(id, 1);
-    }
-
-    /// Set the interned gauge `id` to `v`, tracking its peak.
-    #[inline]
-    pub fn gauge_set_id(&mut self, id: MetricId, v: i64) {
-        if !self.enabled {
+    /// Add `v` to node `node`'s snapshot of counter `m`, listed as
+    /// `n<node>.<name>`. A no-op for handles without a counter sink.
+    pub fn record_node(&mut self, m: Metric, node: u32, v: u64) {
+        if !self.enabled || !m.sinks().has(Sinks::COUNTER) {
             return;
         }
-        let i = id.index();
-        let g = &mut self.fast_gauges[i];
-        g.current = v;
-        g.peak = g.peak.max(v);
-        self.fast_touched[i] = true;
+        self.nodes
+            .entry((node, m))
+            .or_insert_with(|| (format!("n{node}.{}", m.name()), 0))
+            .1 += v;
     }
 
-    /// Record `v` into the interned histogram `id`.
-    #[inline]
-    pub fn observe_id(&mut self, id: MetricId, v: u64) {
-        if !self.enabled {
-            return;
-        }
-        let i = id.index();
-        self.fast_histograms[i]
-            .get_or_insert_with(LogHistogram::new)
-            .record(v);
-        self.fast_touched[i] = true;
-    }
-
-    /// Add `by` to counter `name`, creating it at zero first. Exact
-    /// catalog names share their series with the interned fast path.
-    pub fn counter_add(&mut self, name: &str, by: u64) {
-        if !self.enabled {
-            return;
-        }
-        match catalog::find_metric(name, MetricKind::Counter) {
-            Some(id) => self.counter_add_id(id, by),
-            None => *self.counters.entry(name.to_string()).or_insert(0) += by,
+    /// Counter `m` (0 when never recorded).
+    pub fn count(&self, m: Metric) -> u64 {
+        match self.slots.get(m.slot()) {
+            Some(s) if m.sinks().has(Sinks::COUNTER) => s.value,
+            _ => 0,
         }
     }
 
-    /// Add one to counter `name`.
-    pub fn counter_inc(&mut self, name: &str) {
-        self.counter_add(name, 1);
+    /// Highest value gauge `m` ever held (0 when never recorded).
+    pub fn peak(&self, m: Metric) -> u64 {
+        self.slots.get(m.slot()).map_or(0, |s| s.peak)
     }
 
-    /// Set gauge `name` to `v`, tracking its peak. Exact catalog names
-    /// share their series with the interned fast path.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        if !self.enabled {
-            return;
-        }
-        match catalog::find_metric(name, MetricKind::Gauge) {
-            Some(id) => self.gauge_set_id(id, v),
-            None => {
-                let g = self.gauges.entry(name.to_string()).or_default();
-                g.current = v;
-                g.peak = g.peak.max(v);
-            }
-        }
+    /// The handle named `name` (no node prefix).
+    fn lookup(name: &str) -> Option<Metric> {
+        let i = METRICS.binary_search_by(|d| d.name.cmp(name)).ok()?;
+        Metric::all().nth(i)
     }
 
-    /// Record `v` into histogram `name`. Exact catalog names share their
-    /// series with the interned fast path.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        if !self.enabled {
-            return;
-        }
-        match catalog::find_metric(name, MetricKind::Histogram) {
-            Some(id) => self.observe_id(id, v),
-            None => self
-                .histograms
-                .entry(name.to_string())
-                .or_default()
-                .record(v),
-        }
-    }
-
-    /// Whether interned slot `i` was recorded as `kind`.
-    fn fast_has(&self, i: usize, kind: MetricKind) -> bool {
-        METRICS[i].kind == kind && self.fast_touched.get(i).copied().unwrap_or(false)
-    }
-
-    /// Current value of a counter (0 when absent).
+    /// Counter by name, `n<idx>.`-prefixed for a node snapshot (0 when
+    /// absent).
     pub fn counter(&self, name: &str) -> u64 {
-        match catalog::find_metric(name, MetricKind::Counter) {
-            Some(id) => self.fast_counters.get(id.index()).copied().unwrap_or(0),
-            None => self.counters.get(name).copied().unwrap_or(0),
+        let base = strip_node_prefix(name);
+        let Some(m) = Self::lookup(base) else {
+            return 0;
+        };
+        if base.len() == name.len() {
+            return self.count(m);
         }
+        let node = name[1..name.len() - base.len() - 1].parse().ok();
+        node.and_then(|n| self.nodes.get(&(n, m)))
+            .map_or(0, |&(_, v)| v)
     }
 
-    /// Current value of a gauge (0 when absent).
-    pub fn gauge(&self, name: &str) -> i64 {
-        match catalog::find_metric(name, MetricKind::Gauge) {
-            Some(id) => self
-                .fast_gauges
-                .get(id.index())
-                .map(|g| g.current)
-                .unwrap_or(0),
-            None => self.gauges.get(name).map(|g| g.current).unwrap_or(0),
-        }
-    }
-
-    /// Highest value a gauge ever held (0 when absent).
-    pub fn gauge_peak(&self, name: &str) -> i64 {
-        match catalog::find_metric(name, MetricKind::Gauge) {
-            Some(id) => self
-                .fast_gauges
-                .get(id.index())
-                .map(|g| g.peak)
-                .unwrap_or(0),
-            None => self.gauges.get(name).map(|g| g.peak).unwrap_or(0),
-        }
+    /// Highest value the gauge `name` ever held (0 when absent). Gauges
+    /// have no per-node snapshots, so this is the peak of that one gauge.
+    pub fn max_gauge_peak(&self, name: &str) -> u64 {
+        Self::lookup(name).map_or(0, |m| self.peak(m))
     }
 
     /// Histogram by name, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        match catalog::find_metric(name, MetricKind::Histogram) {
-            Some(id) => self
-                .fast_histograms
-                .get(id.index())
-                .and_then(|h| h.as_ref()),
-            None => self.histograms.get(name),
-        }
+        self.slots
+            .get(Self::lookup(name)?.slot())?
+            .histogram
+            .as_ref()
     }
 
-    /// All counters, in name order (interned and dynamic series merged).
+    /// Recorded slots declaring `sink`, in name order.
+    fn with_sink(&self, sink: Sinks) -> impl Iterator<Item = (Metric, &Slot)> {
+        Metric::all()
+            .zip(&self.slots)
+            .filter(move |(m, s)| s.touched && m.sinks().has(sink))
+    }
+
+    /// All counters, node snapshots included, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         let mut v: Vec<(&str, u64)> = self
-            .counters
-            .iter()
-            .map(|(n, &x)| (n.as_str(), x))
+            .with_sink(Sinks::COUNTER)
+            .map(|(m, s)| (m.name(), s.value))
+            .chain(self.nodes.values().map(|(n, x)| (n.as_str(), *x)))
             .collect();
-        for (i, m) in METRICS.iter().enumerate() {
-            if self.fast_has(i, MetricKind::Counter) {
-                v.push((m.name, self.fast_counters[i]));
-            }
-        }
         v.sort_unstable_by_key(|&(n, _)| n);
         v.into_iter()
-    }
-
-    /// All gauges, in name order (interned and dynamic series merged).
-    fn gauge_entries(&self) -> Vec<(&str, Gauge)> {
-        let mut v: Vec<(&str, Gauge)> = self.gauges.iter().map(|(n, &g)| (n.as_str(), g)).collect();
-        for (i, m) in METRICS.iter().enumerate() {
-            if self.fast_has(i, MetricKind::Gauge) {
-                v.push((m.name, self.fast_gauges[i]));
-            }
-        }
-        v.sort_unstable_by_key(|&(n, _)| n);
-        v
-    }
-
-    /// All histograms, in name order (interned and dynamic series merged).
-    fn histogram_entries(&self) -> Vec<(&str, &LogHistogram)> {
-        let mut v: Vec<(&str, &LogHistogram)> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| (n.as_str(), h))
-            .collect();
-        for (i, m) in METRICS.iter().enumerate() {
-            if METRICS[i].kind == MetricKind::Histogram {
-                if let Some(h) = self.fast_histograms.get(i).and_then(|h| h.as_ref()) {
-                    v.push((m.name, h));
-                }
-            }
-        }
-        v.sort_unstable_by_key(|&(n, _)| n);
-        v
-    }
-
-    /// Sum of every counter whose name ends with `suffix` at a
-    /// `.`-segment boundary — totals across per-node prefixes
-    /// (`n0.clic.retransmits` + `n1.clic.retransmits`). A bare
-    /// `retransmits` matches `n0.clic.retransmits` but never
-    /// `clic.fast_retransmits`: suffixes only bind to whole dotted
-    /// segments.
-    pub fn sum_counters(&self, suffix: &str) -> u64 {
-        self.counters()
-            .filter(|(n, _)| suffix_at_segment_boundary(n, suffix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Largest peak over every gauge whose name ends with `suffix` at a
-    /// `.`-segment boundary (same matching rule as
-    /// [`Metrics::sum_counters`]).
-    pub fn max_gauge_peak(&self, suffix: &str) -> i64 {
-        self.gauge_entries()
-            .iter()
-            .filter(|(n, _)| suffix_at_segment_boundary(n, suffix))
-            .map(|(_, g)| g.peak)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Names recorded in this registry that are missing from the central
-    /// [`crate::catalog`] (per-node `n<idx>.` prefixes are stripped before
-    /// lookup). Returns the offending names in `(name, kind)` order —
-    /// empty on a catalog-clean registry. The experiment layer
-    /// debug-asserts this so an unregistered name cannot ship silently;
-    /// `clic-analyze` enforces the same property statically.
-    pub fn uncataloged(&self) -> Vec<String> {
-        use crate::catalog::{is_metric, MetricKind};
-        let mut bad = Vec::new();
-        for n in self.counters.keys() {
-            if !is_metric(n, MetricKind::Counter) {
-                bad.push(format!("{n} (counter)"));
-            }
-        }
-        for n in self.gauges.keys() {
-            if !is_metric(n, MetricKind::Gauge) {
-                bad.push(format!("{n} (gauge)"));
-            }
-        }
-        for n in self.histograms.keys() {
-            if !is_metric(n, MetricKind::Histogram) {
-                bad.push(format!("{n} (histogram)"));
-            }
-        }
-        bad
-    }
-
-    /// Fold `other` into this registry: counters add, gauge peaks combine
-    /// (current takes `other`'s value), histograms merge. Interned series
-    /// in `other` fold into this registry's interned stores.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (n, &v) in &other.counters {
-            *self.counters.entry(n.clone()).or_insert(0) += v;
-        }
-        for (n, o) in &other.gauges {
-            let g = self.gauges.entry(n.clone()).or_default();
-            g.current = o.current;
-            g.peak = g.peak.max(o.peak);
-        }
-        for (n, o) in &other.histograms {
-            self.histograms.entry(n.clone()).or_default().merge(o);
-        }
-        if other.fast_touched.iter().any(|&t| t)
-            || other.fast_histograms.iter().any(|h| h.is_some())
-        {
-            self.ensure_fast();
-            for (i, m) in METRICS.iter().enumerate() {
-                if other.fast_has(i, MetricKind::Counter) {
-                    self.fast_counters[i] += other.fast_counters[i];
-                    self.fast_touched[i] = true;
-                }
-                if other.fast_has(i, MetricKind::Gauge) {
-                    let g = &mut self.fast_gauges[i];
-                    g.current = other.fast_gauges[i].current;
-                    g.peak = g.peak.max(other.fast_gauges[i].peak);
-                    self.fast_touched[i] = true;
-                }
-                if m.kind == MetricKind::Histogram {
-                    if let Some(o) = other.fast_histograms.get(i).and_then(|h| h.as_ref()) {
-                        self.fast_histograms[i]
-                            .get_or_insert_with(LogHistogram::new)
-                            .merge(o);
-                        self.fast_touched[i] = true;
-                    }
-                }
-            }
-        }
     }
 
     /// Deterministic plain-text dump of the whole registry.
@@ -565,19 +353,23 @@ impl Metrics {
                 out.push_str(&format!("{n} {v}\n"));
             }
         }
-        let gauges = self.gauge_entries();
+        let gauges: Vec<_> = self.with_sink(Sinks::GAUGE).collect();
         if !gauges.is_empty() {
             out.push_str("# gauges (current peak)\n");
-            for (n, g) in gauges {
-                out.push_str(&format!("{n} {} {}\n", g.current, g.peak));
+            for (m, s) in gauges {
+                out.push_str(&format!("{} {} {}\n", m.name(), s.value, s.peak));
             }
         }
-        let hists = self.histogram_entries();
+        let hists: Vec<_> = self
+            .with_sink(Sinks::HISTOGRAM)
+            .filter_map(|(m, s)| Some((m, s.histogram.as_ref()?)))
+            .collect();
         if !hists.is_empty() {
             out.push_str("# histograms (count mean p50 p95 p99 max)\n");
-            for (n, h) in hists {
+            for (m, h) in hists {
                 out.push_str(&format!(
-                    "{n} {} {:.1} {:.1} {:.1} {:.1} {}\n",
+                    "{} {} {:.1} {:.1} {:.1} {:.1} {}\n",
+                    m.name(),
                     h.count(),
                     h.mean(),
                     h.p50(),
@@ -594,6 +386,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::*;
 
     #[test]
     fn bucket_boundaries() {
@@ -679,144 +472,88 @@ mod tests {
     #[test]
     fn disabled_registry_records_nothing() {
         let mut m = Metrics::disabled();
-        m.counter_inc("x");
-        m.gauge_set("g", 5);
-        m.observe("h", 9);
+        m.record(CLIC_RETRANSMITS, 1);
+        m.record(ETH_SWITCH_QUEUE_DEPTH, 5);
+        m.record_node(OS_IRQS, 0, 3);
         assert!(!m.is_enabled());
-        assert_eq!(m.counter("x"), 0);
-        assert_eq!(m.gauge_peak("g"), 0);
-        assert!(m.histogram("h").is_none());
+        assert_eq!(m.counter("clic.retransmits"), 0);
+        assert_eq!(m.max_gauge_peak("eth.switch.queue_depth"), 0);
+        assert!(m.histogram("eth.switch.queue_depth").is_none());
         assert!(m.dump().is_empty());
     }
 
     #[test]
     fn registry_counters_gauges_histograms() {
         let mut m = Metrics::enabled();
-        m.counter_inc("clic.retransmits");
-        m.counter_add("clic.retransmits", 2);
-        m.gauge_set("q", 3);
-        m.gauge_set("q", 7);
-        m.gauge_set("q", 2);
-        m.observe("sz", 1400);
+        m.record(CLIC_RETRANSMITS, 1);
+        m.record(CLIC_RETRANSMITS, 2);
+        for v in [3, 7, 2] {
+            m.record(ETH_SWITCH_QUEUE_DEPTH, v);
+        }
+        assert_eq!(m.count(CLIC_RETRANSMITS), 3);
         assert_eq!(m.counter("clic.retransmits"), 3);
-        assert_eq!(m.gauge("q"), 2);
-        assert_eq!(m.gauge_peak("q"), 7);
-        assert_eq!(m.histogram("sz").unwrap().count(), 1);
+        assert_eq!(m.peak(ETH_SWITCH_QUEUE_DEPTH), 7);
+        assert_eq!(m.max_gauge_peak("eth.switch.queue_depth"), 7);
+        assert_eq!(m.histogram("eth.switch.queue_depth").unwrap().count(), 3);
+        assert!(m.dump().contains("eth.switch.queue_depth 2 7\n"));
     }
 
     #[test]
     fn interned_and_string_paths_share_series() {
-        use crate::catalog::{counter_id, gauge_id, histogram_id};
-        const RETX: MetricId = counter_id("clic.retransmits");
-        const DEPTH_G: MetricId = gauge_id("eth.switch.queue_depth");
-        const DEPTH_H: MetricId = histogram_id("eth.switch.queue_depth");
+        // A handle write and a by-name read see one series, listed once.
         let mut m = Metrics::enabled();
-        m.counter_add_id(RETX, 2);
-        m.counter_add("clic.retransmits", 3);
-        m.gauge_set_id(DEPTH_G, 9);
-        m.gauge_set("eth.switch.queue_depth", 4);
-        m.observe_id(DEPTH_H, 16);
-        m.observe("eth.switch.queue_depth", 16);
+        m.record(CLIC_RETRANSMITS, 2);
+        m.record(CLIC_RETRANSMITS, 3);
+        m.record(ETH_SWITCH_QUEUE_DEPTH, 9);
+        m.record(ETH_SWITCH_QUEUE_DEPTH, 4);
         assert_eq!(m.counter("clic.retransmits"), 5);
-        assert_eq!(m.gauge("eth.switch.queue_depth"), 4);
-        assert_eq!(m.gauge_peak("eth.switch.queue_depth"), 9);
-        assert_eq!(m.histogram("eth.switch.queue_depth").unwrap().count(), 2);
-        // The dump carries exactly one line per series regardless of path.
-        let d = m.dump();
-        assert_eq!(d.matches("clic.retransmits").count(), 1);
-        // A merged copy doubles the counter and keeps the gauge peak.
-        let mut o = Metrics::enabled();
-        o.merge(&m);
-        o.merge(&m);
-        assert_eq!(o.counter("clic.retransmits"), 10);
-        assert_eq!(o.gauge_peak("eth.switch.queue_depth"), 9);
-        assert_eq!(o.histogram("eth.switch.queue_depth").unwrap().count(), 4);
-    }
-
-    #[test]
-    fn suffix_totals_across_node_prefixes() {
-        let mut m = Metrics::enabled();
-        m.counter_add("n0.clic.retransmits", 2);
-        m.counter_add("n1.clic.retransmits", 3);
-        m.gauge_set("n0.eth.switch.queue_depth", 9);
-        m.gauge_set("n1.eth.switch.queue_depth", 4);
-        assert_eq!(m.sum_counters("clic.retransmits"), 5);
         assert_eq!(m.max_gauge_peak("eth.switch.queue_depth"), 9);
+        assert_eq!(m.histogram("eth.switch.queue_depth").unwrap().count(), 2);
+        assert_eq!(m.dump().matches("clic.retransmits").count(), 1);
     }
 
     #[test]
-    fn suffix_matching_honours_segment_boundaries() {
-        // Regression: a bare `retransmits` suffix must not aggregate
-        // `fast_retransmits`, whose final segment merely contains it.
+    fn node_snapshots_read_and_list_under_their_prefix() {
         let mut m = Metrics::enabled();
-        m.counter_add("clic.retransmits", 2);
-        m.counter_add("n0.clic.retransmits", 3);
-        m.counter_add("clic.fast_retransmits", 100);
-        m.counter_add("tcp.fast_retransmits", 200);
-        assert_eq!(m.sum_counters("retransmits"), 5);
-        assert_eq!(m.sum_counters("fast_retransmits"), 300);
-        assert_eq!(m.sum_counters("clic.retransmits"), 5);
-        // An exact full-name match still counts itself once.
-        assert_eq!(m.sum_counters("clic.fast_retransmits"), 100);
-        // Partial segments never match, in either position.
-        assert_eq!(m.sum_counters("ransmits"), 0);
-        assert_eq!(m.sum_counters("ic.retransmits"), 0);
-
-        m.gauge_set("eth.switch.queue_depth", 4);
-        m.gauge_set("n1.eth.switch.queue_depth", 9);
-        m.gauge_set("clic.recv_buffer_bytes", 123);
-        assert_eq!(m.max_gauge_peak("queue_depth"), 9);
-        assert_eq!(m.max_gauge_peak("depth"), 0); // partial segment
-        assert_eq!(m.max_gauge_peak("bytes"), 0); // partial segment
-        assert_eq!(m.max_gauge_peak("recv_buffer_bytes"), 123);
-    }
-
-    #[test]
-    fn merge_registries() {
-        let mut a = Metrics::enabled();
-        a.counter_add("c", 1);
-        a.gauge_set("g", 10);
-        a.observe("h", 4);
-        let mut b = Metrics::enabled();
-        b.counter_add("c", 2);
-        b.gauge_set("g", 3);
-        b.observe("h", 900);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.gauge_peak("g"), 10);
-        assert_eq!(a.gauge("g"), 3);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn uncataloged_names_are_reported() {
-        let mut m = Metrics::enabled();
-        m.counter_inc("clic.retransmits");
-        m.counter_inc("n0.os.syscalls");
-        m.gauge_set("eth.switch.queue_depth", 1);
-        m.observe("clic.msg_bytes", 10);
-        assert!(m.uncataloged().is_empty());
-        m.counter_inc("made.up");
-        m.observe("eth.switch.drops", 1); // counter name recorded as histogram
+        m.record(OS_IRQS, 1);
+        m.record_node(OS_IRQS, 0, 2);
+        m.record_node(OS_IRQS, 0, 3); // a second device on node 0 adds
+        m.record_node(OS_IRQS, 10, 0);
+        m.record_node(OS_IRQS, 2, 4);
+        m.record_node(ETH_SWITCH_QUEUE_DEPTH, 0, 9); // no counter sink
+        assert_eq!(m.counter("os.irqs"), 1);
+        assert_eq!(m.counter("n0.os.irqs"), 5);
+        assert_eq!(m.counter("n2.os.irqs"), 4);
+        assert_eq!(m.counter("n3.os.irqs"), 0);
+        assert_eq!(m.counter("n0.eth.switch.queue_depth"), 0);
+        // Name order, and a snapshot at 0 is still listed.
+        let names: Vec<(&str, u64)> = m.counters().collect();
         assert_eq!(
-            m.uncataloged(),
-            vec!["made.up (counter)", "eth.switch.drops (histogram)"]
+            names,
+            vec![
+                ("n0.os.irqs", 5),
+                ("n10.os.irqs", 0),
+                ("n2.os.irqs", 4),
+                ("os.irqs", 1)
+            ]
         );
     }
 
     #[test]
     fn dump_is_deterministic_and_sorted() {
         let mut m = Metrics::enabled();
-        m.counter_inc("b.second");
-        m.counter_inc("a.first");
-        m.gauge_set("depth", 4);
-        m.observe("lat", 100);
+        m.record(OS_SYSCALLS, 1);
+        m.record(CLIC_DROPS_OOO, 0);
+        m.record(CLIC_CWND, 4);
+        m.record(HW_MEM_COPY_BYTES, 100);
         let d = m.dump();
         assert_eq!(d, m.clone().dump());
-        let a = d.find("a.first").unwrap();
-        let b = d.find("b.second").unwrap();
-        assert!(a < b, "counters must be name-sorted:\n{d}");
-        assert!(d.contains("depth 4 4"));
-        assert!(d.contains("lat 1 100.0"));
+        assert_eq!(
+            d,
+            "# counters\nclic.drops.ooo 0\nos.syscalls 1\n\
+             # gauges (current peak)\nclic.cwnd 4 4\n\
+             # histograms (count mean p50 p95 p99 max)\n\
+             hw.mem.copy_bytes 1 100.0 100.0 100.0 100.0 100\n"
+        );
     }
 }

@@ -3,8 +3,9 @@
 //! End-of-run aggregates ([`crate::metrics::Metrics`]) say *that* a switch
 //! queue filled or a window collapsed, never *when* or *for how long*. The
 //! [`TimelineRecorder`] answers the time-resolved question: it samples
-//! catalogued gauges (instantaneous level) and counters (per-bucket
-//! increments) into fixed-width buckets of **simulated** time, producing
+//! catalogued handles with a timeline sink — levels (instantaneous value)
+//! and rates (per-bucket increments) — into fixed-width buckets of
+//! **simulated** time, producing
 //! plottable series — switch queue depth over time, per-bucket link byte
 //! rate, effective window trajectory — for the scenarios the experiment
 //! layer replays.
@@ -17,9 +18,9 @@
 //! deterministic order. There is no wall clock and no sampling thread:
 //! "sampling at bucket boundaries" is implemented by rolling each series
 //! forward lazily whenever a recording call crosses into a later bucket —
-//! gauges carry their last-written level across empty buckets (a gauge is
-//! a step function, so the level at a boundary *is* the last write before
-//! it), counters emit their accumulated delta and restart from zero. The
+//! levels carry their last-written value across empty buckets (a level
+//! is a step function, so its value at a boundary *is* the last write
+//! before it), rates emit their accumulated delta and restart from zero. The
 //! resulting bytes depend only on the simulated run, never on host timing
 //! or on how many worker processes replayed sibling scenarios.
 //!
@@ -31,14 +32,11 @@
 //! per-series and purely count-based, so it is exactly as deterministic as
 //! the samples themselves.
 //!
-//! ## Identity and merge
+//! ## Identity
 //!
-//! Series are keyed by interned catalog id ([`MetricId`], the same
-//! compile-time interning metrics use) plus an optional node tag, so a
-//! per-node recorder merges into a cluster-wide one exactly — no name
-//! re-parsing, no float re-aggregation — via
-//! [`TimelineRecorder::merge_node`], which imports series under an
-//! `n<idx>.` display prefix exactly like per-node metric registries.
+//! Series are keyed by catalog handle ([`Metric`]); a handle declares at
+//! most one timeline sink, so it names at most one series, and handle
+//! order is name order.
 //!
 //! Everything is off by default ([`TimelineRecorder::disabled`] is a
 //! single-branch no-op), so paper-grade runs are byte-identical with the
@@ -46,7 +44,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::catalog::{self, MetricId, MetricKind};
+use crate::catalog::{Metric, Sinks};
 use crate::time::{SimDuration, SimTime};
 
 /// How a series folds multiple writes into one bucket.
@@ -67,11 +65,11 @@ struct Series {
     kind: SeriesKind,
     /// Bucket index of `sealed[0]` (advances under ring eviction).
     start: u64,
-    sealed: VecDeque<i64>,
+    sealed: VecDeque<u64>,
     /// Bucket currently accumulating (always >= `start + sealed.len()`).
     cur_bucket: u64,
-    /// Level (gauge) or accumulated delta (counter) of `cur_bucket`.
-    cur: i64,
+    /// Level or accumulated delta of `cur_bucket`.
+    cur: u64,
 }
 
 impl Series {
@@ -116,7 +114,7 @@ impl Series {
     }
 }
 
-/// Records catalogued gauge/counter samples into fixed-width buckets of
+/// Records catalogued level/rate samples into fixed-width buckets of
 /// simulated time. See the [module docs](self) for semantics.
 #[derive(Debug, Clone)]
 pub struct TimelineRecorder {
@@ -124,7 +122,7 @@ pub struct TimelineRecorder {
     finished: bool,
     bucket_ns: u64,
     capacity: Option<usize>,
-    series: BTreeMap<(MetricId, Option<u32>), Series>,
+    series: BTreeMap<Metric, Series>,
 }
 
 impl TimelineRecorder {
@@ -185,39 +183,31 @@ impl TimelineRecorder {
         t.as_ns() / self.bucket_ns
     }
 
-    fn record(&mut self, now: SimTime, id: MetricId, kind: SeriesKind, value: i64) {
+    /// Send `v` to the timeline sink `m` declares, if any: a level
+    /// bucket keeps the last value written in it (later empty buckets
+    /// inherit it), a rate bucket sums the values written in it (empty
+    /// buckets hold zero).
+    #[inline]
+    pub fn record(&mut self, now: SimTime, m: Metric, v: u64) {
+        if !self.enabled || self.finished {
+            return;
+        }
+        let kind = match m.sinks() {
+            s if s.has(Sinks::LEVEL) => SeriesKind::Level,
+            s if s.has(Sinks::RATE) => SeriesKind::Rate,
+            _ => return,
+        };
         let bucket = self.bucket_of(now);
         let capacity = self.capacity;
         let s = self
             .series
-            .entry((id, None))
+            .entry(m)
             .or_insert_with(|| Series::new(kind, bucket));
         s.advance_to(bucket, capacity);
         match kind {
-            SeriesKind::Level => s.cur = value,
-            SeriesKind::Rate => s.cur += value,
+            SeriesKind::Level => s.cur = v,
+            SeriesKind::Rate => s.cur += v,
         }
-    }
-
-    /// Record the instantaneous level of gauge `id` at `now`. The bucket
-    /// keeps the last level written in it; later empty buckets inherit it.
-    #[inline]
-    pub fn gauge(&mut self, now: SimTime, id: MetricId, value: i64) {
-        if !self.enabled || self.finished {
-            return;
-        }
-        self.record(now, id, SeriesKind::Level, value);
-    }
-
-    /// Record `by` increments on counter `id` at `now`. The bucket keeps
-    /// the sum of deltas recorded in it (a per-bucket rate once divided by
-    /// the bucket width); empty buckets hold zero.
-    #[inline]
-    pub fn counter(&mut self, now: SimTime, id: MetricId, by: u64) {
-        if !self.enabled || self.finished {
-            return;
-        }
-        self.record(now, id, SeriesKind::Rate, by as i64);
     }
 
     /// Seal every series through the bucket containing `now` (the final,
@@ -236,33 +226,6 @@ impl TimelineRecorder {
         }
     }
 
-    /// Import every untagged series of a finished per-node recorder under
-    /// node tag `node` (displayed with an `n<idx>.` prefix, like per-node
-    /// metric registries). Sealed samples are copied exactly — same ids,
-    /// same bucket indices, same integers — so merging is associative and
-    /// byte-reproducible. Both recorders must use the same bucket width.
-    pub fn merge_node(&mut self, other: &TimelineRecorder, node: u32) {
-        if !other.enabled {
-            return;
-        }
-        assert!(
-            self.bucket_ns == other.bucket_ns,
-            "merging timelines with different bucket widths"
-        );
-        for (&(id, tag), s) in &other.series {
-            if tag.is_none() {
-                self.series.insert((id, Some(node)), s.clone());
-            }
-        }
-    }
-
-    fn display_name(id: MetricId, node: Option<u32>) -> String {
-        match node {
-            Some(n) => format!("n{}.{}", n, id.def().name),
-            None => id.def().name.to_string(),
-        }
-    }
-
     /// Exact microseconds of a bucket's start, as a JSON-safe decimal
     /// (`ns/1000` with three fractional digits, like the trace exporter).
     fn bucket_ts_us(&self, bucket: u64) -> String {
@@ -271,35 +234,13 @@ impl TimelineRecorder {
         format!("{}.{:03}", ns / 1000, ns % 1000)
     }
 
-    fn lookup(&self, name: &str, kind: MetricKind) -> Option<(MetricId, Option<u32>)> {
-        let stripped = catalog::strip_node_prefix(name);
-        let node = if stripped.len() < name.len() {
-            name[1..name.len() - stripped.len() - 1].parse::<u32>().ok()
-        } else {
-            None
-        };
-        let id = catalog::find_metric(stripped, kind)?;
-        Some((id, node))
+    /// Sealed samples of `m`'s series as `(bucket start, value)` pairs;
+    /// `None` if it was never recorded.
+    pub fn series(&self, m: Metric) -> Option<Vec<(SimTime, u64)>> {
+        self.series.get(&m).map(|s| self.samples_of(s))
     }
 
-    /// Sealed samples of the gauge series `name` (optionally
-    /// `n<idx>.`-prefixed) as `(bucket start, level)` pairs. `None` if the
-    /// name is uncatalogued or never recorded. Series names resolve
-    /// through the catalog exactly like metric names.
-    pub fn gauge_series(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
-        let key = self.lookup(name, MetricKind::Gauge)?;
-        self.series.get(&key).map(|s| self.samples_of(s))
-    }
-
-    /// Sealed samples of the counter series `name` (optionally
-    /// `n<idx>.`-prefixed) as `(bucket start, delta)` pairs. `None` if the
-    /// name is uncatalogued or never recorded.
-    pub fn counter_series(&self, name: &str) -> Option<Vec<(SimTime, i64)>> {
-        let key = self.lookup(name, MetricKind::Counter)?;
-        self.series.get(&key).map(|s| self.samples_of(s))
-    }
-
-    fn samples_of(&self, s: &Series) -> Vec<(SimTime, i64)> {
+    fn samples_of(&self, s: &Series) -> Vec<(SimTime, u64)> {
         s.sealed
             .iter()
             .enumerate()
@@ -309,8 +250,8 @@ impl TimelineRecorder {
     }
 
     /// Deterministic text dump: a CSV with one row per sealed bucket per
-    /// series (`series,bucket,t_us,value`), series in interned-id order
-    /// (which is name order), untagged before per-node. Byte-identical for
+    /// series (`series,bucket,t_us,value`), series in handle (= name)
+    /// order. Byte-identical for
     /// byte-identical runs.
     pub fn dump(&self) -> String {
         let mut out = format!(
@@ -320,13 +261,12 @@ impl TimelineRecorder {
             self.series.len()
         );
         out.push_str("series,bucket,t_us,value\n");
-        for (&(id, node), s) in &self.series {
-            let name = Self::display_name(id, node);
+        for (m, s) in &self.series {
             for (i, &v) in s.sealed.iter().enumerate() {
                 let bucket = s.start + i as u64;
                 out.push_str(&format!(
                     "{},{},{},{}\n",
-                    name,
+                    m.name(),
                     bucket,
                     self.bucket_ts_us(bucket),
                     v
@@ -343,15 +283,14 @@ impl TimelineRecorder {
     /// when nothing was recorded, keeping traces byte-identical.
     pub fn chrome_counter_rows(&self) -> Vec<String> {
         let mut rows = Vec::new();
-        for (&(id, node), s) in &self.series {
-            let name = Self::display_name(id, node);
+        for (m, s) in &self.series {
             for (i, &v) in s.sealed.iter().enumerate() {
                 let bucket = s.start + i as u64;
                 rows.push(format!(
                     "    {{\"ph\": \"C\", \"pid\": 0, \"ts\": {}, \"name\": \"{}\", \
                      \"args\": {{\"value\": {}}}}}",
                     self.bucket_ts_us(bucket),
-                    name,
+                    m.name(),
                     v
                 ));
             }
@@ -363,10 +302,7 @@ impl TimelineRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{counter_id, gauge_id};
-
-    const QDEPTH: MetricId = gauge_id("eth.switch.queue_depth");
-    const TXB: MetricId = counter_id("eth.link.tx_bytes");
+    use crate::catalog::{ETH_LINK_TX_BYTES as TXB, ETH_SWITCH_QUEUE_DEPTH as QDEPTH};
 
     fn us(n: u64) -> SimTime {
         SimTime::from_us(n)
@@ -375,8 +311,8 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let mut r = TimelineRecorder::disabled();
-        r.gauge(us(1), QDEPTH, 5);
-        r.counter(us(1), TXB, 100);
+        r.record(us(1), QDEPTH, 5);
+        r.record(us(1), TXB, 100);
         r.finish(us(10));
         assert!(!r.is_enabled());
         assert_eq!(r.series_count(), 0);
@@ -386,10 +322,10 @@ mod tests {
     #[test]
     fn gauge_carries_level_across_empty_buckets() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.gauge(us(5), QDEPTH, 3); // bucket 0
-        r.gauge(us(45), QDEPTH, 7); // bucket 4
+        r.record(us(5), QDEPTH, 3); // bucket 0
+        r.record(us(45), QDEPTH, 7); // bucket 4
         r.finish(us(60)); // seal through bucket 6
-        let s = r.gauge_series("eth.switch.queue_depth").expect("recorded");
+        let s = r.series(QDEPTH).expect("recorded");
         assert_eq!(
             s,
             vec![
@@ -407,11 +343,11 @@ mod tests {
     #[test]
     fn counter_sums_deltas_and_zero_fills() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.counter(us(1), TXB, 100); // bucket 0
-        r.counter(us(2), TXB, 50); // bucket 0
-        r.counter(us(35), TXB, 10); // bucket 3
+        r.record(us(1), TXB, 100); // bucket 0
+        r.record(us(2), TXB, 50); // bucket 0
+        r.record(us(35), TXB, 10); // bucket 3
         r.finish(us(39));
-        let s = r.counter_series("eth.link.tx_bytes").expect("recorded");
+        let s = r.series(TXB).expect("recorded");
         assert_eq!(
             s,
             vec![(us(0), 150), (us(10), 0), (us(20), 0), (us(30), 10)]
@@ -421,19 +357,19 @@ mod tests {
     #[test]
     fn last_write_in_bucket_wins_for_gauges() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.gauge(us(1), QDEPTH, 1);
-        r.gauge(us(9), QDEPTH, 9); // same bucket: level at the boundary
+        r.record(us(1), QDEPTH, 1);
+        r.record(us(9), QDEPTH, 9); // same bucket: level at the boundary
         r.finish(us(9));
-        let s = r.gauge_series("eth.switch.queue_depth").expect("recorded");
+        let s = r.series(QDEPTH).expect("recorded");
         assert_eq!(s, vec![(us(0), 9)]);
     }
 
     #[test]
     fn series_start_at_first_sample_bucket() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.counter(us(55), TXB, 7); // bucket 5: no buckets 0-4 invented
+        r.record(us(55), TXB, 7); // bucket 5: no buckets 0-4 invented
         r.finish(us(55));
-        let s = r.counter_series("eth.link.tx_bytes").expect("recorded");
+        let s = r.series(TXB).expect("recorded");
         assert_eq!(s, vec![(us(50), 7)]);
     }
 
@@ -441,60 +377,39 @@ mod tests {
     fn flight_recorder_keeps_last_n_with_correct_timestamps() {
         let mut r = TimelineRecorder::flight_recorder(SimDuration::from_us(10), 3);
         for b in 0..10u64 {
-            r.counter(us(b * 10 + 1), TXB, (b + 1) * 100);
+            r.record(us(b * 10 + 1), TXB, (b + 1) * 100);
         }
         r.finish(us(99)); // buckets 0..=9 sealed; only 7, 8, 9 survive
-        let s = r.counter_series("eth.link.tx_bytes").expect("recorded");
+        let s = r.series(TXB).expect("recorded");
         assert_eq!(s, vec![(us(70), 800), (us(80), 900), (us(90), 1000)]);
     }
 
     #[test]
     fn finish_is_idempotent_and_stops_recording() {
         let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        r.gauge(us(5), QDEPTH, 2);
+        r.record(us(5), QDEPTH, 2);
         r.finish(us(5));
         r.finish(us(500));
-        r.gauge(us(500), QDEPTH, 9);
-        let s = r.gauge_series("eth.switch.queue_depth").expect("recorded");
+        r.record(us(500), QDEPTH, 9);
+        let s = r.series(QDEPTH).expect("recorded");
         assert_eq!(s, vec![(us(0), 2)]);
     }
 
     #[test]
-    fn merge_node_prefixes_and_copies_exactly() {
-        let mut a = TimelineRecorder::enabled(SimDuration::from_us(10));
-        a.gauge(us(5), QDEPTH, 4);
-        a.finish(us(5));
-        let mut merged = TimelineRecorder::enabled(SimDuration::from_us(10));
-        merged.merge_node(&a, 0);
-        merged.merge_node(&a, 3);
-        assert_eq!(
-            merged.gauge_series("n0.eth.switch.queue_depth"),
-            a.gauge_series("eth.switch.queue_depth")
-        );
-        assert_eq!(
-            merged.gauge_series("n3.eth.switch.queue_depth"),
-            a.gauge_series("eth.switch.queue_depth")
-        );
-        assert_eq!(merged.gauge_series("eth.switch.queue_depth"), None);
-        let dump = merged.dump();
-        assert!(dump.contains("n0.eth.switch.queue_depth,0,0.000,4"));
-        assert!(dump.contains("n3.eth.switch.queue_depth,0,0.000,4"));
-    }
-
-    #[test]
-    fn uncatalogued_lookup_is_none() {
-        let r = TimelineRecorder::enabled(SimDuration::from_us(10));
-        assert_eq!(r.gauge_series("made.up"), None);
-        assert_eq!(r.counter_series("eth.switch.queue_depth"), None); // wrong kind
+    fn handles_without_a_timeline_sink_are_ignored() {
+        let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
+        r.record(us(1), crate::catalog::CLIC_RETRANSMITS, 1);
+        r.finish(us(1));
+        assert_eq!(r.series_count(), 0);
     }
 
     #[test]
     fn dump_and_counter_rows_are_deterministic() {
         let build = || {
             let mut r = TimelineRecorder::enabled(SimDuration::from_us(10));
-            r.counter(us(1), TXB, 100);
-            r.gauge(us(12), QDEPTH, 2);
-            r.counter(us(25), TXB, 70);
+            r.record(us(1), TXB, 100);
+            r.record(us(12), QDEPTH, 2);
+            r.record(us(25), TXB, 70);
             r.finish(us(30));
             r
         };

@@ -5,15 +5,15 @@
 //! comparison stack and the MPI layer — emits typed records into one
 //! [`Trace`] sink: begin/end marks that fold into [`StageSpan`]s (the
 //! paper's Figure 7 pipeline stages) and [`Mark::Instant`] events for
-//! one-shot occurrences (drops, retransmits, timeouts). Records carry the
-//! emitting [`Layer`], a stable stage name and the packet/message id they
-//! refer to, and are stamped with virtual [`SimTime`] only — a trace is a
+//! one-shot occurrences (drops, retransmits, timeouts). Each record names
+//! a catalogued [`Stage`] handle, which fixes its stage name and emitting
+//! [`Layer`], plus the packet/message id it refers to, and is stamped with virtual [`SimTime`] only — a trace is a
 //! pure function of the simulation's configuration and seed, so the
 //! Chrome-trace export ([`Trace::chrome_trace_json`]) is byte-reproducible.
 //!
 //! Tracing is off by default — records cost one branch when disabled.
 
-use crate::catalog::StageId;
+use crate::catalog::Stage;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -198,12 +198,12 @@ impl Trace {
         self.enabled
     }
 
-    fn push(&mut self, time: SimTime, layer: Layer, stage: &'static str, id: u64, mark: Mark) {
+    fn push(&mut self, time: SimTime, stage: Stage, id: u64, mark: Mark) {
         if self.enabled {
             self.events.push(TraceEvent {
                 time,
-                layer,
-                stage,
+                layer: stage.layer(),
+                stage: stage.name(),
                 id,
                 mark,
             });
@@ -211,60 +211,23 @@ impl Trace {
     }
 
     /// Emit a begin mark.
-    pub fn begin(&mut self, time: SimTime, layer: Layer, stage: &'static str, id: u64) {
-        self.push(time, layer, stage, id, Mark::Begin);
+    pub fn begin(&mut self, time: SimTime, stage: Stage, id: u64) {
+        self.push(time, stage, id, Mark::Begin);
     }
 
     /// Emit an end mark.
-    pub fn end(&mut self, time: SimTime, layer: Layer, stage: &'static str, id: u64) {
-        self.push(time, layer, stage, id, Mark::End);
+    pub fn end(&mut self, time: SimTime, stage: Stage, id: u64) {
+        self.push(time, stage, id, Mark::End);
     }
 
     /// Emit an instant event (drop, retransmit, timeout).
-    pub fn instant(&mut self, time: SimTime, layer: Layer, stage: &'static str, id: u64) {
-        self.push(time, layer, stage, id, Mark::Instant);
-    }
-
-    /// Emit a begin mark for an interned stage. Resolving the name through
-    /// [`crate::catalog::stage_id`] at the call site proves at compile time
-    /// that the stage is cataloged (a typo fails the build, not the run).
-    #[inline]
-    pub fn begin_id(&mut self, time: SimTime, layer: Layer, stage: StageId, id: u64) {
-        self.push(time, layer, stage.def().name, id, Mark::Begin);
-    }
-
-    /// Emit an end mark for an interned stage.
-    #[inline]
-    pub fn end_id(&mut self, time: SimTime, layer: Layer, stage: StageId, id: u64) {
-        self.push(time, layer, stage.def().name, id, Mark::End);
-    }
-
-    /// Emit an instant event for an interned stage.
-    #[inline]
-    pub fn instant_id(&mut self, time: SimTime, layer: Layer, stage: StageId, id: u64) {
-        self.push(time, layer, stage.def().name, id, Mark::Instant);
+    pub fn instant(&mut self, time: SimTime, stage: Stage, id: u64) {
+        self.push(time, stage, id, Mark::Instant);
     }
 
     /// Raw records, in emission order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Stage names recorded in this trace that are missing from the
-    /// central [`crate::catalog`], deduplicated and sorted — empty on a
-    /// catalog-clean trace. Mirrors
-    /// [`Metrics::uncataloged`](crate::metrics::Metrics::uncataloged);
-    /// `clic-analyze` enforces the same property statically.
-    pub fn uncataloged_stages(&self) -> Vec<&'static str> {
-        let mut bad: Vec<&'static str> = self
-            .events
-            .iter()
-            .map(|e| e.stage)
-            .filter(|s| !crate::catalog::is_stage(s))
-            .collect();
-        bad.sort_unstable();
-        bad.dedup();
-        bad
     }
 
     /// Instant events, in emission order.
@@ -328,43 +291,27 @@ impl Trace {
     /// without an end (or vice versa) is surfaced as a [`TraceError`]
     /// rather than silently dropped.
     pub fn spans(&self) -> Result<Vec<StageSpan>, TraceError> {
-        let (spans, strays) = Self::fold(self.events.iter());
-        match strays.into_iter().next() {
-            None => Ok(spans),
-            Some(e) => Err(match e.mark {
-                Mark::End => TraceError::UnmatchedEnd {
-                    stage: e.stage,
-                    id: e.id,
-                    time: e.time,
-                },
-                _ => TraceError::UnmatchedBegin {
-                    stage: e.stage,
-                    id: e.id,
-                    time: e.time,
-                },
-            }),
-        }
+        Self::strict(Self::fold(self.events.iter()))
     }
 
     /// Spans for one packet id (strict, like [`Trace::spans`], but only
     /// marks for `id` are considered).
     pub fn spans_for(&self, id: u64) -> Result<Vec<StageSpan>, TraceError> {
-        let (spans, strays) = Self::fold(self.events.iter().filter(|e| e.id == id));
-        match strays.into_iter().next() {
-            None => Ok(spans),
-            Some(e) => Err(match e.mark {
-                Mark::End => TraceError::UnmatchedEnd {
-                    stage: e.stage,
-                    id: e.id,
-                    time: e.time,
-                },
-                _ => TraceError::UnmatchedBegin {
-                    stage: e.stage,
-                    id: e.id,
-                    time: e.time,
-                },
-            }),
-        }
+        Self::strict(Self::fold(self.events.iter().filter(|e| e.id == id)))
+    }
+
+    /// The spans of a fold, or an error for its first stray mark.
+    fn strict(
+        (spans, strays): (Vec<StageSpan>, Vec<TraceEvent>),
+    ) -> Result<Vec<StageSpan>, TraceError> {
+        let Some(e) = strays.into_iter().next() else {
+            return Ok(spans);
+        };
+        let (stage, id, time) = (e.stage, e.id, e.time);
+        Err(match e.mark {
+            Mark::End => TraceError::UnmatchedEnd { stage, id, time },
+            _ => TraceError::UnmatchedBegin { stage, id, time },
+        })
     }
 
     /// Export the trace as Chrome trace-event JSON (loadable in Perfetto
@@ -460,13 +407,14 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::*;
 
     #[test]
     fn disabled_records_nothing() {
         let mut t = Trace::disabled();
-        t.begin(SimTime::ZERO, Layer::Os, "x", 1);
-        t.end(SimTime::from_us(1), Layer::Os, "x", 1);
-        t.instant(SimTime::from_us(2), Layer::Clic, "drop", 1);
+        t.begin(SimTime::ZERO, SYSCALL, 1);
+        t.end(SimTime::from_us(1), SYSCALL, 1);
+        t.instant(SimTime::from_us(2), DROP_DUPLICATE, 1);
         assert!(t.events().is_empty());
         assert!(t.spans().unwrap().is_empty());
         assert!(!t.is_enabled());
@@ -475,11 +423,11 @@ mod tests {
     #[test]
     fn spans_pair_begin_end() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(1), Layer::Os, "driver", 7);
-        t.end(SimTime::from_us(4), Layer::Os, "driver", 7);
+        t.begin(SimTime::from_us(1), DRIVER_RX, 7);
+        t.end(SimTime::from_us(4), DRIVER_RX, 7);
         let spans = t.spans().unwrap();
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].stage, "driver");
+        assert_eq!(spans[0].stage, "driver_rx");
         assert_eq!(spans[0].layer, Layer::Os);
         assert_eq!(spans[0].duration(), SimDuration::from_us(3));
     }
@@ -487,10 +435,10 @@ mod tests {
     #[test]
     fn repeated_stage_yields_multiple_spans_fifo() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(0), Layer::Hw, "xmit", 1);
-        t.end(SimTime::from_us(2), Layer::Hw, "xmit", 1);
-        t.begin(SimTime::from_us(10), Layer::Hw, "xmit", 1);
-        t.end(SimTime::from_us(13), Layer::Hw, "xmit", 1);
+        t.begin(SimTime::from_us(0), NIC_TX_DMA, 1);
+        t.end(SimTime::from_us(2), NIC_TX_DMA, 1);
+        t.begin(SimTime::from_us(10), NIC_TX_DMA, 1);
+        t.end(SimTime::from_us(13), NIC_TX_DMA, 1);
         let spans = t.spans_for(1).unwrap();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].duration(), SimDuration::from_us(2));
@@ -500,11 +448,11 @@ mod tests {
     #[test]
     fn packets_do_not_cross_match() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(1), Layer::Os, "s", 2);
-        t.end(SimTime::from_us(5), Layer::Os, "s", 2);
+        t.begin(SimTime::from_us(1), BOTTOM_HALF, 2);
+        t.end(SimTime::from_us(5), BOTTOM_HALF, 2);
         // Packet 2's trace folds cleanly in isolation even while packet 1
         // has an open begin elsewhere in the sink.
-        t.begin(SimTime::from_us(0), Layer::Os, "s", 1);
+        t.begin(SimTime::from_us(0), BOTTOM_HALF, 1);
         let spans = t.spans_for(2).unwrap();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].id, 2);
@@ -514,11 +462,11 @@ mod tests {
     #[test]
     fn unmatched_begin_is_surfaced() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(3), Layer::Clic, "tx", 9);
+        t.begin(SimTime::from_us(3), CLIC_MODULE_TX, 9);
         assert_eq!(
             t.spans(),
             Err(TraceError::UnmatchedBegin {
-                stage: "tx",
+                stage: "clic_module_tx",
                 id: 9,
                 time: SimTime::from_us(3),
             })
@@ -531,12 +479,12 @@ mod tests {
     #[test]
     fn unmatched_end_is_surfaced() {
         let mut t = Trace::enabled();
-        t.end(SimTime::from_us(5), Layer::Os, "s", 1);
+        t.end(SimTime::from_us(5), BOTTOM_HALF, 1);
         let err = t.spans().unwrap_err();
         assert_eq!(
             err,
             TraceError::UnmatchedEnd {
-                stage: "s",
+                stage: "bottom_half",
                 id: 1,
                 time: SimTime::from_us(5),
             }
@@ -547,8 +495,8 @@ mod tests {
     #[test]
     fn layers_do_not_cross_match() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(0), Layer::Os, "s", 1);
-        t.end(SimTime::from_us(2), Layer::Hw, "s", 1);
+        t.begin(SimTime::from_us(0), RTO_CLIC, 1);
+        t.end(SimTime::from_us(2), RTO_TCPIP, 1);
         assert!(
             t.spans().is_err(),
             "marks from different layers must not pair"
@@ -558,22 +506,22 @@ mod tests {
     #[test]
     fn overlapping_stages_on_one_packet() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(0), Layer::Os, "a", 1);
-        t.begin(SimTime::from_us(1), Layer::Os, "b", 1);
-        t.end(SimTime::from_us(2), Layer::Os, "a", 1);
-        t.end(SimTime::from_us(3), Layer::Os, "b", 1);
+        t.begin(SimTime::from_us(0), DRIVER_RX, 1);
+        t.begin(SimTime::from_us(1), BOTTOM_HALF, 1);
+        t.end(SimTime::from_us(2), DRIVER_RX, 1);
+        t.end(SimTime::from_us(3), BOTTOM_HALF, 1);
         let spans = t.spans_for(1).unwrap();
         assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].stage, "a");
-        assert_eq!(spans[1].stage, "b");
+        assert_eq!(spans[0].stage, "driver_rx");
+        assert_eq!(spans[1].stage, "bottom_half");
     }
 
     #[test]
     fn instants_do_not_disturb_spans() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(0), Layer::Clic, "rx", 1);
-        t.instant(SimTime::from_us(1), Layer::Clic, "drop.duplicate", 2);
-        t.end(SimTime::from_us(2), Layer::Clic, "rx", 1);
+        t.begin(SimTime::from_us(0), CLIC_MODULE_RX, 1);
+        t.instant(SimTime::from_us(1), DROP_DUPLICATE, 2);
+        t.end(SimTime::from_us(2), CLIC_MODULE_RX, 1);
         assert_eq!(t.spans().unwrap().len(), 1);
         let instants: Vec<_> = t.instants().collect();
         assert_eq!(instants.len(), 1);
@@ -583,9 +531,9 @@ mod tests {
     #[test]
     fn chrome_export_shape_and_determinism() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_ns(1_500), Layer::Os, "driver_rx", 42);
-        t.end(SimTime::from_ns(11_750), Layer::Os, "driver_rx", 42);
-        t.instant(SimTime::from_us(20), Layer::Clic, "retransmit", 42);
+        t.begin(SimTime::from_ns(1_500), DRIVER_RX, 42);
+        t.end(SimTime::from_ns(11_750), DRIVER_RX, 42);
+        t.instant(SimTime::from_us(20), RTO_CLIC, 42);
         let json = t.chrome_trace_json();
         assert_eq!(json, t.chrome_trace_json(), "export must be reproducible");
         assert!(json.contains("\"traceEvents\""));
@@ -601,21 +549,10 @@ mod tests {
     }
 
     #[test]
-    fn uncataloged_stages_are_reported() {
-        let mut t = Trace::enabled();
-        t.begin(SimTime::ZERO, Layer::Os, "driver_rx", 1);
-        t.end(SimTime::from_us(1), Layer::Os, "driver_rx", 1);
-        assert!(t.uncataloged_stages().is_empty());
-        t.instant(SimTime::from_us(2), Layer::Clic, "bogus", 1);
-        t.instant(SimTime::from_us(3), Layer::Clic, "bogus", 2);
-        assert_eq!(t.uncataloged_stages(), vec!["bogus"]);
-    }
-
-    #[test]
     fn chrome_export_keeps_unmatched_marks_visible() {
         let mut t = Trace::enabled();
-        t.begin(SimTime::from_us(1), Layer::Hw, "dma", 3);
+        t.begin(SimTime::from_us(1), NIC_RX_DMA, 3);
         let json = t.chrome_trace_json();
-        assert!(json.contains("unmatched:dma"), "{json}");
+        assert!(json.contains("unmatched:nic_rx_dma"), "{json}");
     }
 }

@@ -7,7 +7,8 @@ use bytes::{BufMut, Bytes, BytesMut};
 use clic_ethernet::{EtherType, Frame, MacAddr};
 use clic_os::driver::hard_start_xmit;
 use clic_os::{Kernel, PacketHandler, SkBuff};
-use clic_sim::{Layer, Sim};
+use clic_sim::catalog::{IP_RX, IP_TX};
+use clic_sim::Sim;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
@@ -145,12 +146,12 @@ impl IpLayer {
         };
         let total_cost = cost * packets.len() as u64;
         if trace != 0 {
-            sim.trace.begin(sim.now(), Layer::TcpIp, "ip_tx", trace);
+            sim.trace.begin(sim.now(), IP_TX, trace);
         }
         let kernel2 = kernel.clone();
         Kernel::cpu_task(&kernel, sim, total_cost, move |sim| {
             if trace != 0 {
-                sim.trace.end(sim.now(), Layer::TcpIp, "ip_tx", trace);
+                sim.trace.end(sim.now(), IP_TX, trace);
             }
             for pkt in packets {
                 // TCP/IP always sends from kernel memory (the user->kernel
@@ -195,15 +196,14 @@ impl IpLayer {
             return;
         };
         if frame.trace != 0 {
-            sim.trace
-                .begin(sim.now(), Layer::TcpIp, "ip_rx", frame.trace);
+            sim.trace.begin(sim.now(), IP_RX, frame.trace);
         }
         let layer2 = layer.clone();
         let kernel2 = kernel.clone();
         let trace = frame.trace;
         Kernel::cpu_task(kernel, sim, cost, move |sim| {
             if trace != 0 {
-                sim.trace.end(sim.now(), Layer::TcpIp, "ip_rx", trace);
+                sim.trace.end(sim.now(), IP_RX, trace);
             }
             let (complete, handler) = {
                 let mut l = layer2.borrow_mut();

@@ -18,15 +18,13 @@ use crate::ip::{internet_checksum_parts, IpAddr, IpProto, Ipv4Header};
 use crate::stack::{IpLayer, IpProtoHandler};
 use bytes::{BufMut, Bytes, BytesMut};
 use clic_os::{Kernel, Pid};
-use clic_sim::catalog::counter_id;
-use clic_sim::{Layer, MetricId, Sim, SimDuration};
+use clic_sim::catalog::{
+    FAST_RETRANSMIT_TCPIP, RTO_TCPIP, TCP_FAST_RETRANSMITS, TCP_RETRANSMITS, TCP_TX,
+};
+use clic_sim::{Sim, SimDuration};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::{Rc, Weak};
-
-/// Interned metric ids for the retransmission paths.
-const M_RETRANSMITS: MetricId = counter_id("tcp.retransmits");
-const M_FAST_RETRANSMITS: MetricId = counter_id("tcp.fast_retransmits");
 
 /// TCP header size (no options).
 pub const TCP_HEADER: usize = 20;
@@ -598,11 +596,11 @@ impl TcpStack {
         };
         let stack2 = stack.clone();
         if trace != 0 {
-            sim.trace.begin(sim.now(), Layer::TcpIp, "tcp_tx", trace);
+            sim.trace.begin(sim.now(), TCP_TX, trace);
         }
         Kernel::cpu_task(&kernel, sim, cost, move |sim| {
             if trace != 0 {
-                sim.trace.end(sim.now(), Layer::TcpIp, "tcp_tx", trace);
+                sim.trace.end(sim.now(), TCP_TX, trace);
             }
             Self::emit(&stack2, sim, peer, seg, payload, trace);
         });
@@ -687,8 +685,8 @@ impl TcpStack {
         let Some((peer, seg, payload)) = resend else {
             return;
         };
-        sim.metrics.counter_inc_id(M_RETRANSMITS);
-        sim.trace.instant(sim.now(), Layer::TcpIp, "rto", 0);
+        sim.record(TCP_RETRANSMITS, 1);
+        sim.trace.instant(sim.now(), RTO_TCPIP, 0);
         Self::emit_data(stack, sim, peer, seg, payload, 0);
         Self::ensure_rto(stack, sim, conn);
     }
@@ -907,9 +905,8 @@ impl TcpStack {
             }
         };
         if let Some((peer, reply, payload)) = fast_resend {
-            sim.metrics.counter_inc_id(M_FAST_RETRANSMITS);
-            sim.trace
-                .instant(sim.now(), Layer::TcpIp, "fast_retransmit", 0);
+            sim.record(TCP_FAST_RETRANSMITS, 1);
+            sim.trace.instant(sim.now(), FAST_RETRANSMIT_TCPIP, 0);
             Self::emit_data(stack, sim, peer, reply, payload, 0);
         }
         let progressed = {
