@@ -115,7 +115,7 @@ impl Stage {
 /// help text) and the [`METRICS`] table in the same order.
 macro_rules! metrics {
     ($(#[doc = $help:literal] $handle:ident = $name:literal, [$($sink:ident),+];)+) => {
-        #[allow(non_camel_case_types, clippy::upper_case_acronyms, dead_code)]
+        #[allow(non_camel_case_types)]
         #[repr(u16)]
         enum Slot { $($handle),+ }
 
